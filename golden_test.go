@@ -1,0 +1,180 @@
+package pacc_test
+
+import (
+	"bufio"
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"io"
+	"os"
+	"sort"
+	"strings"
+	"testing"
+
+	"pacc"
+	"pacc/internal/simtime"
+)
+
+// goldenRun is one canonical observed run whose exports are pinned by
+// SHA-256 in testdata/obs_golden.txt.
+type goldenRun struct {
+	name  string
+	cfg   func(t *testing.T) pacc.Config
+	body  func(r *pacc.Rank)
+	setup func(s *pacc.ObsSession)
+	// order lists the exports in the order they are requested; the power
+	// timeline is folded into the bus on the first export that needs it,
+	// so varying the order covers every path that triggers the fold.
+	order []string
+}
+
+func goldenRuns() []goldenRun {
+	all := []string{"trace", "metrics", "report", "annotated"}
+	return []goldenRun{
+		{
+			name: "allreduce_topo_1MiB_proposed",
+			cfg:  func(*testing.T) pacc.Config { return pacc.DefaultConfig() },
+			body: func(r *pacc.Rank) {
+				pacc.AllreduceTopoAware(pacc.CommWorld(r), 1<<20, pacc.CollectiveOptions{Power: pacc.Proposed})
+			},
+			order: all,
+		},
+		{
+			name: "alltoall_256KiB_proposed_streaming",
+			cfg:  func(*testing.T) pacc.Config { return pacc.DefaultConfig() },
+			body: func(r *pacc.Rank) {
+				pacc.Alltoall(pacc.CommWorld(r), 256<<10, pacc.CollectiveOptions{Power: pacc.Proposed})
+			},
+			setup: func(s *pacc.ObsSession) { s.EnableAnalytics() },
+			order: []string{"report", "trace", "metrics", "annotated"},
+		},
+		{
+			name: "bcast_1MiB_proposed_blocking",
+			cfg: func(*testing.T) pacc.Config {
+				cfg := pacc.DefaultConfig()
+				cfg.Mode = pacc.Blocking
+				return cfg
+			},
+			body: func(r *pacc.Rank) {
+				pacc.Bcast(pacc.CommWorld(r), 0, 1<<20, pacc.CollectiveOptions{Power: pacc.Proposed})
+			},
+			order: []string{"metrics", "trace", "report", "annotated"},
+		},
+		{
+			name: "faulted_allreduce_slow_degrade",
+			cfg: func(t *testing.T) pacc.Config {
+				spec, err := pacc.ParseFaultSpec("seed=7;slow=3@4x:200us+2ms;degrade=node1-up@0.5:100us+5ms")
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := pacc.DefaultConfig()
+				cfg.Fault = spec
+				return cfg
+			},
+			body: func(r *pacc.Rank) {
+				c := pacc.CommWorld(r)
+				opt := pacc.CollectiveOptions{Power: pacc.Proposed}
+				pacc.AllreduceTopoAware(c, 256<<10, opt)
+				r.Compute(500 * simtime.Microsecond)
+				pacc.AllreduceTopoAware(c, 256<<10, opt)
+			},
+			order: []string{"metrics", "report", "trace", "annotated"},
+		},
+	}
+}
+
+// runGolden executes one canonical run and returns the SHA-256 of each
+// export, keyed "<run>/<export>".
+func runGolden(t *testing.T, g goldenRun) map[string]string {
+	t.Helper()
+	w, err := pacc.NewWorld(g.cfg(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := pacc.AttachObs(w)
+	if g.setup != nil {
+		g.setup(sess)
+	}
+	w.Launch(g.body)
+	if _, err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+	writers := map[string]func(io.Writer) error{
+		"trace":     sess.WriteTrace,
+		"metrics":   sess.WriteMetrics,
+		"report":    sess.WriteReport,
+		"annotated": sess.WriteAnnotatedTrace,
+	}
+	out := map[string]string{}
+	for _, name := range g.order {
+		var buf bytes.Buffer
+		if err := writers[name](&buf); err != nil {
+			t.Fatalf("%s: %s: %v", g.name, name, err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		out[g.name+"/"+name] = hex.EncodeToString(sum[:])
+	}
+	return out
+}
+
+func readGolden(t *testing.T, path string) map[string]string {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	want := map[string]string{}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		fields := strings.Fields(line)
+		if len(fields) != 2 {
+			t.Fatalf("%s: malformed line %q", path, line)
+		}
+		want[fields[0]] = fields[1]
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// TestObsExportsGolden freezes the observable output of the facade: the
+// merged trace, metrics snapshot, analytics report and annotated trace of
+// four canonical runs must hash to the digests in testdata. A refactor of
+// the observability or power layers that changes a single byte fails
+// here. On a deliberate output change, replace the file's digest lines
+// with the ones this test logs.
+func TestObsExportsGolden(t *testing.T) {
+	const path = "testdata/obs_golden.txt"
+	want := readGolden(t, path)
+	got := map[string]string{}
+	for _, g := range goldenRuns() {
+		for k, v := range runGolden(t, g) {
+			got[k] = v
+		}
+	}
+	keys := make([]string, 0, len(got))
+	for k := range got {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var mismatch, listing strings.Builder
+	for _, k := range keys {
+		fmt.Fprintf(&listing, "%s %s\n", k, got[k])
+		if want[k] != got[k] {
+			fmt.Fprintf(&mismatch, "  %s: got %s, want %q\n", k, got[k], want[k])
+		}
+	}
+	if len(want) != len(got) {
+		fmt.Fprintf(&mismatch, "  %d digests in %s, %d computed\n", len(want), path, len(got))
+	}
+	if mismatch.Len() > 0 {
+		t.Fatalf("export digests changed:\n%scomputed digests:\n%s", mismatch.String(), listing.String())
+	}
+}

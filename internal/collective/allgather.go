@@ -128,7 +128,7 @@ func allgatherMC(c *mpi.Comm, bytes int64, opt Options, throttle bool) {
 		case opt.CoreGranularThrottle:
 			r.SetThrottle(opt.deepT())
 		case c.SocketOf(me) == leaderSock:
-			r.SetThrottle(opt.partialT())
+			r.SetThrottle(partialT)
 		default:
 			r.SetThrottle(opt.deepT())
 		}

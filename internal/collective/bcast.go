@@ -99,7 +99,7 @@ func bcastMC(c *mpi.Comm, root int, bytes int64, opt Options, throttle bool) {
 		case opt.CoreGranularThrottle:
 			r.SetThrottle(opt.deepT())
 		case c.SocketOf(me) == leaderSock:
-			r.SetThrottle(opt.partialT())
+			r.SetThrottle(partialT)
 		default:
 			r.SetThrottle(opt.deepT())
 		}

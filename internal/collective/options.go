@@ -58,9 +58,6 @@ type Options struct {
 	Power PowerMode
 	// Trace, when non-nil, receives this rank's per-phase timings.
 	Trace *Trace
-	// ReduceBytesPerSec is the local reduction rate at full speed for
-	// Reduce/Allreduce (combining two buffers). Zero selects 3 GB/s.
-	ReduceBytesPerSec float64
 	// CoreGranularThrottle enables the ablation of §V-B/VI-B: a
 	// future architecture that throttles per core rather than per
 	// socket, keeping the leader core at T0 and all other cores at T7
@@ -69,10 +66,6 @@ type Options struct {
 	// DeepThrottle overrides the T-state used for cores with no work
 	// during a phase (the paper uses T7). Zero selects T7.
 	DeepThrottle power.TState
-	// PartialThrottle overrides the T-state of the leader socket during
-	// the network phase of shared-memory collectives (the paper uses
-	// T4). Zero selects T4.
-	PartialThrottle power.TState
 	// PowerThreshold is the per-rank message size below which the
 	// power-aware schemes pass through to the default algorithm at full
 	// speed: for latency-bound collectives the DVFS and throttle
@@ -97,11 +90,6 @@ type Options struct {
 	// scalar checked entry points (AllreduceSumChecked and friends) carry
 	// verification unconditionally and ignore the field.
 	Verify bool
-	// PlanStepSpans emits one observability span per executed plan step
-	// in addition to the phase spans — a debugging aid. Off by default,
-	// which keeps plan-executed collectives trace-identical to their
-	// imperative ancestors.
-	PlanStepSpans bool
 	// refImperative forces the original imperative implementation of a
 	// plan-backed entry point. Unexported: the differential tests use it
 	// to prove the plan path bit-identical to the reference.
@@ -150,20 +138,13 @@ func (o Options) deepT() power.TState {
 	return o.DeepThrottle
 }
 
-// partialT returns the T-state for the leader socket.
-func (o Options) partialT() power.TState {
-	if o.PartialThrottle == power.T0 {
-		return power.T4
-	}
-	return o.PartialThrottle
-}
+// partialT is the T-state of the leader socket during the network phase
+// of shared-memory collectives (the paper's T4).
+const partialT = power.T4
 
-func (o Options) reduceRate() float64 {
-	if o.ReduceBytesPerSec > 0 {
-		return o.ReduceBytesPerSec
-	}
-	return 3e9
-}
+// reduceBytesPerSec is the full-speed local reduction rate of
+// Reduce/Allreduce (combining two buffers).
+const reduceBytesPerSec = 3e9
 
 // Trace accumulates per-phase wall-clock durations observed by one rank.
 type Trace struct {

@@ -159,9 +159,8 @@ func selectCached(c *mpi.Comm, family string, spec plan.Spec, objective PlanObje
 func execPlan(c *mpi.Comm, p *plan.Plan, opt Options) error {
 	return plan.Execute(p, plan.Env{
 		Comm:              c,
-		ReduceBytesPerSec: opt.reduceRate(),
+		ReduceBytesPerSec: reduceBytesPerSec,
 		OnPhase:           opt.Trace.Add,
-		StepSpans:         opt.PlanStepSpans,
 	})
 }
 

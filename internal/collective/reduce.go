@@ -57,7 +57,7 @@ func ReduceBinomial(c *mpi.Comm, root int, bytes int64, opt Options) error {
 // the accumulator — streaming work, so it stretches with the copy
 // slowdown rather than the full clock ratio.
 func reduceOp(c *mpi.Comm, bytes int64, opt Options) {
-	c.Owner().StreamCompute(simtime.DurationOf(float64(bytes) / opt.reduceRate()))
+	c.Owner().StreamCompute(simtime.DurationOf(float64(bytes) / reduceBytesPerSec))
 }
 
 func reduceMC(c *mpi.Comm, root int, bytes int64, opt Options, throttle bool) {
@@ -93,7 +93,7 @@ func reduceMC(c *mpi.Comm, root int, bytes int64, opt Options, throttle bool) {
 		case opt.CoreGranularThrottle:
 			r.SetThrottle(opt.deepT())
 		case c.SocketOf(me) == leaderSock:
-			r.SetThrottle(opt.partialT())
+			r.SetThrottle(partialT)
 		default:
 			r.SetThrottle(opt.deepT())
 		}

@@ -24,7 +24,6 @@ type World struct {
 	place   *topology.Placement
 	fabric  *network.Fabric
 	station *power.Station
-	ledger  *power.Ledger
 	ranks   []*Rank
 	stats   MsgStats
 	// obs, when non-nil, receives cross-layer trace events and metrics;
@@ -214,15 +213,6 @@ func (w *World) Stash() map[string]any {
 
 // Size returns the number of ranks.
 func (w *World) Size() int { return len(w.ranks) }
-
-// AttachLedger attributes all core energy to the given ledger's phases.
-func (w *World) AttachLedger(l *power.Ledger) {
-	w.ledger = l
-	w.station.AttachLedger(l)
-}
-
-// Ledger returns the attached ledger, or nil.
-func (w *World) Ledger() *power.Ledger { return w.ledger }
 
 // AttachObs routes the job's observability events — MPI message
 // lifecycle, wait times, P/T-state transitions, and (through the fabric)

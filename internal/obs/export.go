@@ -24,12 +24,14 @@ type chromeEvent struct {
 // WriteChromeTrace exports every recorded timeline event as one Chrome
 // trace JSON array: metadata (process/thread names) first, then events
 // stable-sorted by timestamp, so identical runs produce identical bytes.
-// A nil bus writes an empty array.
+// A nil bus writes an empty array. A recorded power timeline is folded
+// in first (EmitPowerSpans).
 func (b *Bus) WriteChromeTrace(w io.Writer) error {
 	if b == nil {
 		_, err := w.Write([]byte("[]\n"))
 		return err
 	}
+	b.EmitPowerSpans()
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	out := make([]chromeEvent, 0, b.nEvents+len(b.procNames)+len(b.threadNames))
@@ -151,7 +153,8 @@ type metricsDoc struct {
 
 // WriteMetricsJSON exports all counters, duration accumulators and
 // histograms as one indented JSON document with sorted keys. A nil bus
-// writes an empty document.
+// writes an empty document. A recorded power timeline contributes its
+// per-core state residencies, folded in on the first call.
 func (b *Bus) WriteMetricsJSON(w io.Writer) error {
 	doc := metricsDoc{
 		Counters:         map[string]int64{},
@@ -159,6 +162,7 @@ func (b *Bus) WriteMetricsJSON(w io.Writer) error {
 		Histograms:       map[string]histJSON{},
 	}
 	if b != nil {
+		b.addPowerResidency()
 		b.mu.Lock()
 		defer b.mu.Unlock()
 		for k, v := range b.counters {

@@ -2,7 +2,9 @@
 // simulator: a simulation-time event bus collecting named spans, instant
 // events, counters and histograms from every layer — MPI message
 // lifecycle, network flows, collective phases and per-core power states —
-// onto one timeline.
+// onto one timeline. The bus is also the one record of the per-core
+// power schedule (RecordPower): core-track spans and state-residency
+// metrics are both derived from it at export.
 //
 // The bus is disabled by default: every producer holds a possibly-nil
 // *Bus, and all Bus methods are safe (and nearly free) on a nil receiver,
@@ -269,6 +271,9 @@ type Bus struct {
 	// whether or not anyone is listening.
 	subs    []subscriber
 	nextSub SubID
+	// power is the per-core power-state timeline (see RecordPower); nil
+	// unless recording was switched on.
+	power *powerTimeline
 }
 
 // NewBus returns an enabled bus reading time from eng.

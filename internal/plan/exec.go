@@ -16,17 +16,9 @@ type Env struct {
 	// ReduceBytesPerSec is the full-speed local reduction rate charged
 	// by OpReduce steps (must be positive when the plan reduces).
 	ReduceBytesPerSec float64
-	// VerifyBytesPerSec is the checksum-fold rate charged by OpVerify
-	// steps; zero selects DefaultVerifyBytesPerSec.
-	VerifyBytesPerSec float64
 	// OnPhase, when non-nil, receives each closed phase's name and
 	// duration (the per-phase trace accrual of the collective layer).
 	OnPhase func(name string, d simtime.Duration)
-	// StepSpans emits one observability span per executed step in
-	// addition to the phase spans. Off by default: the per-step timeline
-	// is a debugging aid, and leaving it off keeps plan-executed
-	// collectives trace-identical to their imperative ancestors.
-	StepSpans bool
 }
 
 // Execute runs the calling rank's schedule of a plan over the MPI layer.
@@ -69,29 +61,6 @@ func Execute(p *Plan, env Env) error {
 	}
 	var phases []openPhase
 
-	stepSpan := func(s Step, fn func()) {
-		if bus == nil || !env.StepSpans {
-			fn()
-			return
-		}
-		start := r.Now()
-		fn()
-		// Communication steps carry their global peer and size, so the
-		// analytics layer can follow plan-level dependency edges.
-		var args map[string]any
-		switch s.Op {
-		case OpSend, OpRecv:
-			args = map[string]any{"peer": c.Global(s.Peer), "bytes": s.Bytes}
-		case OpSendRecv:
-			args = map[string]any{
-				"peer":  c.Global(s.RecvFrom),
-				"dst":   c.Global(s.SendTo),
-				"bytes": s.RecvBytes,
-			}
-		}
-		bus.Span(r.ObsTrack(), "plan:"+s.Op.String(), start, r.Now(), args)
-	}
-
 	for i, s := range p.Steps[me] {
 		// A communication step that fails — a peer died mid-schedule, the
 		// communicator was revoked — aborts the whole schedule: the
@@ -103,21 +72,17 @@ func Execute(p *Plan, env Env) error {
 		var opErr error
 		switch s.Op {
 		case OpSend:
-			stepSpan(s, func() { opErr = c.Send(s.Peer, s.Bytes, block+s.Tag) })
+			opErr = c.Send(s.Peer, s.Bytes, block+s.Tag)
 		case OpRecv:
-			stepSpan(s, func() { opErr = c.Recv(s.Peer, s.Bytes, block+s.Tag) })
+			opErr = c.Recv(s.Peer, s.Bytes, block+s.Tag)
 		case OpSendRecv:
-			stepSpan(s, func() {
-				opErr = c.Exchange(s.SendTo, s.SendBytes, block+s.SendTag,
-					s.RecvFrom, s.RecvBytes, block+s.RecvTag)
-			})
+			opErr = c.Exchange(s.SendTo, s.SendBytes, block+s.SendTag,
+				s.RecvFrom, s.RecvBytes, block+s.RecvTag)
 		case OpReduce:
 			if s.Bytes > 0 && env.ReduceBytesPerSec <= 0 {
 				return fmt.Errorf("plan %q: rank %d step %d reduces with no rate configured", p.Name, me, i)
 			}
-			stepSpan(s, func() {
-				r.StreamCompute(simtime.DurationOf(float64(s.Bytes) / env.ReduceBytesPerSec))
-			})
+			r.StreamCompute(simtime.DurationOf(float64(s.Bytes) / env.ReduceBytesPerSec))
 			if s.Bytes > 0 {
 				if _, hit := in.MemCorrupt(r.ID(), r.Now().Sub(simtime.Time(0))); hit {
 					tainted = true
@@ -129,32 +94,25 @@ func Execute(p *Plan, env Env) error {
 			}
 		case OpCopy:
 			if s.Bytes > 0 {
-				stepSpan(s, func() { r.MemCopy(s.Bytes) })
+				r.MemCopy(s.Bytes)
 			}
 		case OpCompute:
-			stepSpan(s, func() { r.Compute(simtime.DurationOf(s.Seconds)) })
+			r.Compute(simtime.DurationOf(s.Seconds))
 		case OpPower:
 			switch s.Power.Kind {
 			case PowerFreqMin:
-				stepSpan(s, r.ScaleDown)
+				r.ScaleDown()
 			case PowerFreqMax:
-				stepSpan(s, r.ScaleUp)
+				r.ScaleUp()
 			case PowerThrottle:
-				t := s.Power.TState
-				stepSpan(s, func() { r.SetThrottle(t) })
+				r.SetThrottle(s.Power.TState)
 			default:
 				return fmt.Errorf("plan %q: rank %d step %d has unknown power action %d", p.Name, me, i, s.Power.Kind)
 			}
 		case OpVerify:
-			stepSpan(s, func() {
-				if s.Bytes > 0 {
-					rate := env.VerifyBytesPerSec
-					if rate <= 0 {
-						rate = DefaultVerifyBytesPerSec
-					}
-					r.StreamCompute(simtime.DurationOf(float64(s.Bytes) / rate))
-				}
-			})
+			if s.Bytes > 0 {
+				r.StreamCompute(simtime.DurationOf(float64(s.Bytes) / DefaultVerifyBytesPerSec))
+			}
 			if tainted {
 				tainted = false
 				if bus != nil {

@@ -3,10 +3,10 @@ package plan
 import "fmt"
 
 // DefaultVerifyBytesPerSec is the streaming rate charged by an OpVerify
-// step when the execution environment does not set one: an ABFT checksum
-// fold is a fused SIMD accumulate over already-resident data, so it runs
-// near memory stream bandwidth rather than at the reduction rate (which
-// pays for two operand streams and a writeback).
+// step: an ABFT checksum fold is a fused SIMD accumulate over
+// already-resident data, so it runs near memory stream bandwidth rather
+// than at the reduction rate (which pays for two operand streams and a
+// writeback).
 const DefaultVerifyBytesPerSec = 24e9
 
 // IntegrityError reports a failed OpVerify step: an injected memory-

@@ -2,7 +2,6 @@ package power
 
 import (
 	"fmt"
-	"sort"
 
 	"pacc/internal/simtime"
 )
@@ -20,11 +19,10 @@ type Core struct {
 
 	lastUpdate simtime.Time
 	energyJ    float64
-	// resid accumulates time per distinct (P-state, T-state, busy) tuple
-	// — the per-core residency counters behind the governor's and the
-	// analytics engine's energy attribution.
-	resid    map[StateKey]simtime.Duration
-	ledger   *Ledger
+	// ledger, when attached, splits the energy by workload phase.
+	ledger *Ledger
+	// recorder receives every state change; the obs bus hangs the
+	// per-core power timeline on it.
 	recorder func(StateChange)
 	// transitionDelay, when installed, returns extra settle time for the
 	// next P-state (dvfs=true) or T-state transition on this core. Fault
@@ -40,31 +38,6 @@ type StateChange struct {
 	FreqGHz  float64
 	Throttle TState
 	Busy     bool
-}
-
-// StateKey identifies one distinct power state of a core: the P-state
-// frequency, the T-state, and whether the core was executing. It keys the
-// per-core residency counters.
-type StateKey struct {
-	FreqGHz  float64
-	Throttle TState
-	Busy     bool
-}
-
-// Label renders the state the way the trace recorder names core spans,
-// e.g. "busy 2.4GHz T0".
-func (k StateKey) Label() string {
-	act := "idle"
-	if k.Busy {
-		act = "busy"
-	}
-	return fmt.Sprintf("%s %.1fGHz %v", act, k.FreqGHz, k.Throttle)
-}
-
-// Residency is one entry of a core's state-residency report.
-type Residency struct {
-	State StateKey
-	Time  simtime.Duration
 }
 
 // NewCore returns a core at fmax, T0, idle, with zero accumulated energy.
@@ -120,53 +93,18 @@ func (c *Core) CopySpeed() float64 {
 	return s
 }
 
-// stateKey returns the core's current residency key.
-func (c *Core) stateKey() StateKey {
-	return StateKey{FreqGHz: c.freqGHz, Throttle: c.tstate, Busy: c.busy}
-}
-
 // accrue integrates power since the last state change into the energy
-// counter, the residency counters, and the ledger (if attached).
+// counter and the ledger (if attached).
 func (c *Core) accrue() {
 	now := c.eng.Now()
-	d := now.Sub(c.lastUpdate)
-	if d > 0 {
-		dt := d.Seconds()
-		j := c.Watts() * dt
+	if d := now.Sub(c.lastUpdate); d > 0 {
+		j := c.Watts() * d.Seconds()
 		c.energyJ += j
-		if c.resid == nil {
-			c.resid = make(map[StateKey]simtime.Duration)
-		}
-		c.resid[c.stateKey()] += d
 		if c.ledger != nil {
-			c.ledger.add(j, dt, c.stateKey())
+			c.ledger.add(j)
 		}
 	}
 	c.lastUpdate = now
-}
-
-// Residencies returns the time this core has spent in each distinct
-// (P-state, T-state, busy) tuple up to the current virtual time, sorted
-// by frequency, then throttle level, then idle before busy — a
-// deterministic order for export. The total over all entries equals the
-// elapsed time since the core was created.
-func (c *Core) Residencies() []Residency {
-	c.accrue()
-	out := make([]Residency, 0, len(c.resid))
-	for k, d := range c.resid {
-		out = append(out, Residency{State: k, Time: d})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].State, out[j].State
-		if a.FreqGHz != b.FreqGHz {
-			return a.FreqGHz < b.FreqGHz
-		}
-		if a.Throttle != b.Throttle {
-			return a.Throttle < b.Throttle
-		}
-		return !a.Busy && b.Busy
-	})
-	return out
 }
 
 // SetFreq changes the P-state. The transition itself is instantaneous in
@@ -211,12 +149,6 @@ func (c *Core) EnergyJoules() float64 {
 	return c.energyJ
 }
 
-// ResetEnergy zeroes the accumulated energy (the power state is kept).
-func (c *Core) ResetEnergy() {
-	c.accrue()
-	c.energyJ = 0
-}
-
 // AttachLedger directs subsequent accruals to the given ledger (in
 // addition to the core's own counter). Pass nil to detach.
 func (c *Core) AttachLedger(l *Ledger) {
@@ -225,8 +157,8 @@ func (c *Core) AttachLedger(l *Ledger) {
 }
 
 // SetRecorder registers a callback invoked after every state change (and
-// immediately with the current state). Pass nil to detach. Used by the
-// trace package to export core timelines.
+// immediately with the current state). Pass nil to detach. The obs bus
+// uses it to record the per-core power timeline.
 func (c *Core) SetRecorder(fn func(StateChange)) {
 	c.recorder = fn
 	if fn != nil {

@@ -324,15 +324,8 @@ func TestLedgerAttribution(t *testing.T) {
 	if got := led.Joules("comm"); !almost(got, 2*busyW, 1e-6) {
 		t.Errorf("comm joules = %v, want %v", got, 2*busyW)
 	}
-	if got := led.CoreSeconds("comm"); !almost(got, 2, 1e-9) {
-		t.Errorf("comm seconds = %v, want 2", got)
-	}
-	phases := led.Phases()
-	if len(phases) != 2 || phases[0] != "comm" || phases[1] != "compute" {
-		t.Errorf("phases = %v", phases)
-	}
-	if tot := led.TotalJoules(); !almost(tot, 3*busyW, 1e-6) {
-		t.Errorf("total = %v", tot)
+	if got := led.Joules("idle"); got != 0 {
+		t.Errorf("unseen phase joules = %v, want 0", got)
 	}
 }
 
@@ -373,100 +366,5 @@ func TestEnergyAdditivityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestResidencyCounters pins the per-state residency accounting: the
-// per-state times split exactly along the state changes, sum to the
-// elapsed time, and come back in a deterministic order.
-func TestResidencyCounters(t *testing.T) {
-	m := DefaultModel()
-	eng := simtime.NewEngine()
-	c := NewCore(eng, m, 0)
-	eng.Spawn("d", func(p *simtime.Proc) {
-		c.SetBusy(true)
-		p.Sleep(2 * simtime.Millisecond) // busy fmax T0
-		c.SetFreq(m.FMinGHz)
-		p.Sleep(3 * simtime.Millisecond) // busy fmin T0
-		c.SetThrottle(T4)
-		p.Sleep(5 * simtime.Millisecond) // busy fmin T4
-		c.SetBusy(false)
-		p.Sleep(1 * simtime.Millisecond) // idle fmin T4
-	})
-	if _, err := eng.Run(simtime.Infinity); err != nil {
-		t.Fatal(err)
-	}
-	res := c.Residencies()
-	want := map[StateKey]simtime.Duration{
-		{FreqGHz: m.FMaxGHz, Throttle: T0, Busy: true}:  2 * simtime.Millisecond,
-		{FreqGHz: m.FMinGHz, Throttle: T0, Busy: true}:  3 * simtime.Millisecond,
-		{FreqGHz: m.FMinGHz, Throttle: T4, Busy: true}:  5 * simtime.Millisecond,
-		{FreqGHz: m.FMinGHz, Throttle: T4, Busy: false}: 1 * simtime.Millisecond,
-	}
-	if len(res) != len(want) {
-		t.Fatalf("got %d residency entries, want %d: %+v", len(res), len(want), res)
-	}
-	var total simtime.Duration
-	for _, r := range res {
-		if want[r.State] != r.Time {
-			t.Errorf("residency %v = %v, want %v", r.State, r.Time, want[r.State])
-		}
-		total += r.Time
-	}
-	if total != 11*simtime.Millisecond {
-		t.Fatalf("residency total = %v, want 11ms", total)
-	}
-	// Deterministic order: ascending frequency, then throttle, idle first.
-	for i := 1; i < len(res); i++ {
-		a, b := res[i-1].State, res[i].State
-		inOrder := a.FreqGHz < b.FreqGHz ||
-			(a.FreqGHz == b.FreqGHz && a.Throttle < b.Throttle) ||
-			(a.FreqGHz == b.FreqGHz && a.Throttle == b.Throttle && !a.Busy && b.Busy)
-		if !inOrder {
-			t.Fatalf("residencies out of order: %v before %v", a, b)
-		}
-	}
-	if got, want := res[0].State.Label(), "busy 1.6GHz T0"; got != want {
-		t.Fatalf("Label() = %q, want %q", got, want)
-	}
-}
-
-// TestLedgerStateSplit pins the phase × power-state attribution: each
-// phase's per-state joules sum to the phase total, and states that only
-// appear inside one phase are attributed there alone.
-func TestLedgerStateSplit(t *testing.T) {
-	m := DefaultModel()
-	eng := simtime.NewEngine()
-	c := NewCore(eng, m, 0)
-	l := NewLedger()
-	c.AttachLedger(l)
-	eng.Spawn("d", func(p *simtime.Proc) {
-		l.SetPhase("compute")
-		c.SetBusy(true)
-		p.Sleep(4 * simtime.Millisecond)
-		c.SetFreq(m.FMinGHz) // accrues compute at fmax, switches state
-		l.SetPhase("comm")
-		p.Sleep(6 * simtime.Millisecond)
-		c.EnergyJoules() // flush
-	})
-	if _, err := eng.Run(simtime.Infinity); err != nil {
-		t.Fatal(err)
-	}
-	for _, phase := range l.Phases() {
-		sum := 0.0
-		for _, sj := range l.JoulesByState(phase) {
-			sum += sj.Joules
-		}
-		if !almost(sum, l.Joules(phase), 1e-9) {
-			t.Errorf("phase %q: state split sums to %g, phase total %g", phase, sum, l.Joules(phase))
-		}
-	}
-	comm := l.JoulesByState("comm")
-	if len(comm) != 1 || comm[0].State.FreqGHz != m.FMinGHz {
-		t.Fatalf("comm states = %+v, want single fmin entry", comm)
-	}
-	compute := l.JoulesByState("compute")
-	if len(compute) != 1 || compute[0].State.FreqGHz != m.FMaxGHz {
-		t.Fatalf("compute states = %+v, want single fmax entry", compute)
 	}
 }

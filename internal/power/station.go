@@ -1,10 +1,6 @@
 package power
 
-import (
-	"sort"
-
-	"pacc/internal/simtime"
-)
+import "pacc/internal/simtime"
 
 // Station aggregates the cores of a cluster into one measurable power
 // domain, the way the paper's clamp meter saw the whole testbed.
@@ -57,22 +53,6 @@ func (s *Station) EnergyJoules() float64 {
 		j += c.EnergyJoules()
 	}
 	return j
-}
-
-// ResetEnergy zeroes all core counters. Node base energy is derived from
-// the clock, so callers measuring intervals should subtract readings
-// instead; ResetEnergy is for reusing a station across experiments.
-func (s *Station) ResetEnergy() {
-	for _, c := range s.cores {
-		c.ResetEnergy()
-	}
-}
-
-// AttachLedger attaches l to every core.
-func (s *Station) AttachLedger(l *Ledger) {
-	for _, c := range s.cores {
-		c.AttachLedger(l)
-	}
 }
 
 // Sample is one power-meter reading.
@@ -146,26 +126,16 @@ func (m *Meter) MeanWatts() float64 {
 	return sum / float64(len(m.samples))
 }
 
-// Ledger attributes energy (and busy time) to named phases, so workloads
-// can report how much of their energy went to, say, MPI_Alltoall. Each
-// phase's energy is additionally split by the power state it was drawn
-// in (JoulesByState), the phase × power-state attribution the analytics
-// layer aggregates.
+// Ledger attributes energy to named phases, so workloads can report how
+// much of their energy went to, say, MPI_Alltoall.
 type Ledger struct {
 	current string
 	joules  map[string]float64
-	seconds map[string]float64
-	byState map[string]map[StateKey]float64
 }
 
 // NewLedger returns a ledger with the phase label set to "init".
 func NewLedger() *Ledger {
-	return &Ledger{
-		current: "init",
-		joules:  make(map[string]float64),
-		seconds: make(map[string]float64),
-		byState: make(map[string]map[StateKey]float64),
-	}
+	return &Ledger{current: "init", joules: make(map[string]float64)}
 }
 
 // SetPhase labels all subsequent accruals. Cores flush their pending
@@ -174,69 +144,7 @@ func NewLedger() *Ledger {
 // attribution at state-change granularity.
 func (l *Ledger) SetPhase(name string) { l.current = name }
 
-// Phase returns the current label.
-func (l *Ledger) Phase() string { return l.current }
-
-func (l *Ledger) add(j, secs float64, st StateKey) {
-	l.joules[l.current] += j
-	l.seconds[l.current] += secs
-	m := l.byState[l.current]
-	if m == nil {
-		m = make(map[StateKey]float64)
-		l.byState[l.current] = m
-	}
-	m[st] += j
-}
+func (l *Ledger) add(j float64) { l.joules[l.current] += j }
 
 // Joules returns the energy attributed to a phase.
 func (l *Ledger) Joules(phase string) float64 { return l.joules[phase] }
-
-// JoulesByState returns a phase's energy split by the power state it was
-// drawn in, as (state, joules) pairs sorted like Core.Residencies. The
-// pairs sum to Joules(phase).
-func (l *Ledger) JoulesByState(phase string) []StateJoules {
-	m := l.byState[phase]
-	out := make([]StateJoules, 0, len(m))
-	for k, j := range m {
-		out = append(out, StateJoules{State: k, Joules: j})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].State, out[j].State
-		if a.FreqGHz != b.FreqGHz {
-			return a.FreqGHz < b.FreqGHz
-		}
-		if a.Throttle != b.Throttle {
-			return a.Throttle < b.Throttle
-		}
-		return !a.Busy && b.Busy
-	})
-	return out
-}
-
-// StateJoules is one entry of a phase's per-power-state energy split.
-type StateJoules struct {
-	State  StateKey
-	Joules float64
-}
-
-// CoreSeconds returns the total core-time attributed to a phase.
-func (l *Ledger) CoreSeconds(phase string) float64 { return l.seconds[phase] }
-
-// Phases returns all labels seen, sorted.
-func (l *Ledger) Phases() []string {
-	out := make([]string, 0, len(l.joules))
-	for k := range l.joules {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// TotalJoules sums energy across phases.
-func (l *Ledger) TotalJoules() float64 {
-	sum := 0.0
-	for _, j := range l.joules {
-		sum += j
-	}
-	return sum
-}

@@ -114,6 +114,9 @@ type job struct {
 	// journal rather than a live Submit.
 	lease     uint64
 	recovered bool
+	// enqueued stamps the job's latest entry into the queue (submit,
+	// retry or recovery requeue); the dequeue observes the wait.
+	enqueued time.Time
 }
 
 // Ticket is one submission's handle on its (possibly shared) job.
@@ -433,6 +436,7 @@ func (s *Service) SubmitBatch(reqs []Request) ([]*Ticket, []error) {
 }
 
 func (s *Service) enqueueLocked(j *job) {
+	j.enqueued = time.Now()
 	s.queue = append(s.queue, j)
 	s.bus.Add(CtrQueueDepth, 1)
 	s.cond.Signal()
@@ -462,6 +466,7 @@ func (s *Service) workerLoop(w *worker) {
 		j := s.queue[0]
 		s.queue = s.queue[1:]
 		s.bus.Add(CtrQueueDepth, -1)
+		s.bus.Observe(HistQueueWaitSecs, time.Since(j.enqueued).Seconds())
 		s.leaseSeq++
 		j.lease = s.leaseSeq
 		attempt := j.attempts + 1

@@ -531,3 +531,55 @@ func TestServiceCorruptStoreEntryRecomputed(t *testing.T) {
 		t.Fatalf("healed entry recomputed again: %d runs", n)
 	}
 }
+
+// Every dequeue observes how long the job sat in the queue: first
+// submissions and retry requeues alike.
+func TestServiceQueueWaitObserved(t *testing.T) {
+	release := make(chan struct{})
+	started := make(chan struct{}, 8)
+	var failedOnce atomic.Bool
+	svc := NewService(nil, Config{
+		Workers: 1, MaxAttempts: 3, RetryBackoff: 100 * time.Microsecond,
+		Run: func(ctx context.Context, req Request) ([]byte, error) {
+			started <- struct{}{}
+			<-release
+			if req.Bytes == svcReq("t", 0).Bytes && !failedOnce.Swap(true) {
+				return nil, errors.New("fail the first attempt once")
+			}
+			return []byte("ok"), nil
+		},
+	})
+	defer svc.Close()
+
+	const n = 3
+	var tickets []*Ticket
+	for i := 0; i < n; i++ {
+		tk, err := svc.Submit(svcReq("t", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tickets = append(tickets, tk)
+	}
+	// The single worker holds one request at the gate; the rest queue
+	// until it opens.
+	<-started
+	close(release)
+	for _, tk := range tickets {
+		if _, err := tk.Result(); err != nil {
+			t.Fatalf("ticket %s: %v", tk.Key(), err)
+		}
+	}
+	svc.Drain()
+
+	h := svc.Bus().Hist(HistQueueWaitSecs)
+	dequeues := svc.Bus().Counter(CtrExecutions)
+	if dequeues != n+1 {
+		t.Fatalf("executions = %d, want %d (one retry)", dequeues, n+1)
+	}
+	if h.Count != dequeues {
+		t.Fatalf("queue-wait observations = %d, want one per dequeue (%d)", h.Count, dequeues)
+	}
+	if !(h.Sum > 0) {
+		t.Fatalf("queue-wait sum = %g, want > 0", h.Sum)
+	}
+}

@@ -1,28 +1,22 @@
 package pacc
 
 import (
-	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"pacc/internal/analyze"
 	"pacc/internal/obs"
-	"pacc/internal/trace"
 )
 
 // ObsSession bundles the cross-layer observability of one simulated job:
 // an event bus collecting MPI message lifecycles, network flow and
 // link-busy spans, per-rank collective phases, and wait/transition
-// metrics, plus a power-state recorder whose per-core spans are merged
-// into the exported timeline. Obtain one with AttachObs before Launch;
+// metrics, plus every core's power-state timeline, exported as per-core
+// spans and state residencies. Obtain one with AttachObs before Launch;
 // export with WriteTrace / WriteMetrics after Run.
 type ObsSession struct {
-	w        *World
-	bus      *obs.Bus
-	rec      *trace.Recorder
-	merged   bool
-	residted bool
+	w   *World
+	bus *obs.Bus
 	// collector, when non-nil, streams events as they are emitted (see
 	// EnableAnalytics); Report falls back to a post-run replay otherwise.
 	collector *analyze.Collector
@@ -34,55 +28,26 @@ type ObsSession struct {
 func AttachObs(w *World) *ObsSession {
 	bus := obs.NewBus(w.Engine())
 	w.AttachObs(bus)
-	return &ObsSession{
-		w:   w,
-		bus: bus,
-		rec: trace.Attach(w.Station(), w.Config().Topo.CoresPerNode()),
-	}
+	bus.RecordPower(w.Station(), w.Config().Topo.CoresPerNode())
+	return &ObsSession{w: w, bus: bus}
 }
 
 // Bus exposes the underlying event bus (for custom instrumentation or
 // metric queries in tests).
 func (s *ObsSession) Bus() *obs.Bus { return s.bus }
 
-// mergePower folds the recorder's power-state spans into the bus once.
-func (s *ObsSession) mergePower() {
-	if s.merged {
-		return
-	}
-	s.merged = true
-	s.rec.ExportToBus(s.bus, s.w.Station().Now())
-}
-
 // WriteTrace exports the merged Chrome trace-event JSON — power-state
 // spans per core interleaved with message, flow, wait, and collective
 // phase spans — viewable in chrome://tracing or https://ui.perfetto.dev.
 // Call after Run.
 func (s *ObsSession) WriteTrace(w io.Writer) error {
-	s.mergePower()
 	return s.bus.WriteChromeTrace(w)
-}
-
-// mergeResidency folds the per-core power-state residency counters into
-// the bus's duration metrics once, as power.residency.core<N>.<state>.
-func (s *ObsSession) mergeResidency() {
-	if s.residted {
-		return
-	}
-	s.residted = true
-	for _, c := range s.w.Station().Cores() {
-		for _, r := range c.Residencies() {
-			label := strings.ReplaceAll(r.State.Label(), " ", "_")
-			s.bus.AddDuration(fmt.Sprintf("power.residency.core%d.%s", c.ID(), label), r.Time)
-		}
-	}
 }
 
 // WriteMetrics exports the metrics snapshot (counters, accumulated
 // durations in seconds — including per-core power-state residency —
 // and histograms) as indented JSON. Call after Run.
 func (s *ObsSession) WriteMetrics(w io.Writer) error {
-	s.mergeResidency()
 	return s.bus.WriteMetricsJSON(w)
 }
 
@@ -114,7 +79,7 @@ func (s *ObsSession) EnableAnalytics() {
 // Run. The switch-cost slack filter defaults to this world's power
 // model.
 func (s *ObsSession) Analyze(opt AnalysisOptions) *analyze.Analysis {
-	s.mergePower()
+	s.bus.EmitPowerSpans()
 	if opt.ODVFSUs == 0 {
 		opt.ODVFSUs = s.w.Config().Power.ODVFS.Micros()
 	}

@@ -40,7 +40,6 @@ import (
 	"pacc/internal/power"
 	"pacc/internal/simtime"
 	"pacc/internal/topology"
-	"pacc/internal/trace"
 	"pacc/internal/workload"
 )
 
@@ -215,16 +214,6 @@ func WaitAll(reqs ...*Request) { mpi.WaitAll(reqs...) }
 
 // NewTrace returns an empty phase-timing trace.
 func NewTrace() *Trace { return collective.NewTrace() }
-
-// TraceRecorder records per-core power-state timelines for Chrome-trace
-// export (chrome://tracing / Perfetto).
-type TraceRecorder = trace.Recorder
-
-// AttachTrace hooks every core of the world for timeline recording; call
-// before Launch. Export with WriteChromeTrace after Run.
-func AttachTrace(w *World) *TraceRecorder {
-	return trace.Attach(w.Station(), w.Config().Topo.CoresPerNode())
-}
 
 // Collective operations (SPMD: every rank of the communicator calls them
 // with identical arguments). Every entry point validates its arguments
