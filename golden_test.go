@@ -3,6 +3,7 @@ package pacc_test
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -10,10 +11,12 @@ import (
 	"os"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"pacc"
 	"pacc/internal/simtime"
+	"pacc/internal/sweep"
 )
 
 // goldenRun is one canonical observed run whose exports are pinned by
@@ -159,6 +162,13 @@ func TestObsExportsGolden(t *testing.T) {
 			got[k] = v
 		}
 	}
+	checkGolden(t, path, want, got)
+}
+
+// checkGolden fails t unless got matches the digests read from path,
+// listing every computed digest so a deliberate change can be recorded.
+func checkGolden(t *testing.T, path string, want, got map[string]string) {
+	t.Helper()
 	keys := make([]string, 0, len(got))
 	for k := range got {
 		keys = append(keys, k)
@@ -175,6 +185,62 @@ func TestObsExportsGolden(t *testing.T) {
 		fmt.Fprintf(&mismatch, "  %d digests in %s, %d computed\n", len(want), path, len(got))
 	}
 	if mismatch.Len() > 0 {
-		t.Fatalf("export digests changed:\n%scomputed digests:\n%s", mismatch.String(), listing.String())
+		t.Fatalf("digests changed:\n%scomputed digests:\n%s", mismatch.String(), listing.String())
 	}
+}
+
+// sweepGoldenRequests are the canonical sweep cells: three ops under each
+// power mode at 16 ranks, and one faulted cell.
+func sweepGoldenRequests() map[string]sweep.Request {
+	reqs := map[string]sweep.Request{}
+	for _, op := range []string{"alltoall", "bcast", "allreduce_topo"} {
+		for _, mode := range []string{"no-power", "freq-scaling", "proposed"} {
+			reqs[op+"_"+mode] = sweep.Request{Op: op, Procs: 16, PPN: 8, Bytes: 64 << 10, Mode: mode, Iters: 2}
+		}
+	}
+	reqs["allreduce_topo_proposed_slow_degrade"] = sweep.Request{
+		Op: "allreduce_topo", Procs: 16, PPN: 8, Bytes: 256 << 10, Mode: "proposed",
+		Fault: "seed=7;slow=3@4x:200us+2ms;degrade=node1-up@0.5:100us+5ms",
+	}
+	return reqs
+}
+
+// TestSweepPayloadGolden pins the SHA-256 of the result payload sweep.Simulate
+// returns for each canonical cell (testdata/sweep_golden.txt). The cells
+// run two at a time on worker goroutines, as the sweep service runs them.
+func TestSweepPayloadGolden(t *testing.T) {
+	const path = "testdata/sweep_golden.txt"
+	want := readGolden(t, path)
+	reqs := sweepGoldenRequests()
+	names := make([]string, 0, len(reqs))
+	for name := range reqs {
+		names = append(names, name)
+	}
+	digests := make([]string, len(names))
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				payload, err := sweep.Simulate(context.Background(), reqs[names[i]])
+				if err != nil {
+					t.Errorf("%s: %v", names[i], err)
+				}
+				sum := sha256.Sum256(payload)
+				digests[i] = hex.EncodeToString(sum[:])
+			}
+		}()
+	}
+	for i := range names {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+	got := map[string]string{}
+	for i, name := range names {
+		got[name] = digests[i]
+	}
+	checkGolden(t, path, want, got)
 }

@@ -271,13 +271,15 @@ func (w *World) Run() (simtime.Duration, error) {
 }
 
 // RunContext is Run under a context: a cancellation or deadline aborts
-// the simulation cleanly — the engine stops between events, every
-// still-parked rank goroutine is unwound, and the error is a typed
-// *CanceledError wrapping ctx.Err() (so errors.Is against
-// context.Canceled / context.DeadlineExceeded classifies it). The world
-// must be discarded after an abort. A context that can never be
-// canceled (context.Background()) adds no per-event work, keeping the
-// historical Run path byte-identical.
+// the simulation cleanly — the engine stops between events and the error
+// is a typed *CanceledError wrapping ctx.Err() (so errors.Is against
+// context.Canceled / context.DeadlineExceeded classifies it). On every
+// failed run (cancellation, deadlock, watchdog, rank panic or engine
+// failure) the still-parked ranks are unwound after the error has been
+// built, so a failed run leaves no rank goroutine behind; the world must
+// be discarded. A context that can never be canceled
+// (context.Background()) adds no per-event work, keeping the historical
+// Run path byte-identical.
 func (w *World) RunContext(ctx context.Context) (simtime.Duration, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -293,27 +295,35 @@ func (w *World) RunContext(ctx context.Context) (simtime.Duration, error) {
 		defer w.eng.SetInterrupt(nil, 0)
 	}
 	if _, err := w.eng.Run(simtime.Infinity); err != nil {
-		if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) {
-			w.eng.KillLive()
-			return 0, &CanceledError{At: w.eng.Now(), Cause: cerr}
-		}
-		var dl *simtime.DeadlockError
-		if len(w.retriesExhausted) > 0 && errors.As(err, &dl) {
-			// The hang has a known root cause: messages that spent
-			// their whole retry budget. Name them alongside the
-			// blocked waits, wrapping the first typed record.
-			rest := make([]string, 0, len(w.retriesExhausted)-1)
-			for _, e := range w.retriesExhausted[1:] {
-				rest = append(rest, e.Error())
-			}
-			tail := ""
-			if len(rest) > 0 {
-				tail = "; " + strings.Join(rest, "; ")
-			}
-			return 0, fmt.Errorf("mpi: %d message(s) exhausted their retry budget (%w%s): %w",
-				len(w.retriesExhausted), w.retriesExhausted[0], tail, err)
-		}
+		err = w.runError(ctx, err)
+		w.eng.KillLive()
 		return 0, err
 	}
 	return simtime.Duration(w.eng.Now()), nil
+}
+
+// runError turns a failed engine run into RunContext's error: a
+// *CanceledError for a context abort, the exhausted retry budgets named
+// alongside a deadlock, or the engine's error as is.
+func (w *World) runError(ctx context.Context, err error) error {
+	if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) {
+		return &CanceledError{At: w.eng.Now(), Cause: cerr}
+	}
+	var dl *simtime.DeadlockError
+	if len(w.retriesExhausted) > 0 && errors.As(err, &dl) {
+		// The hang has a known root cause: messages that spent
+		// their whole retry budget. Name them alongside the
+		// blocked waits, wrapping the first typed record.
+		rest := make([]string, 0, len(w.retriesExhausted)-1)
+		for _, e := range w.retriesExhausted[1:] {
+			rest = append(rest, e.Error())
+		}
+		tail := ""
+		if len(rest) > 0 {
+			tail = "; " + strings.Join(rest, "; ")
+		}
+		return fmt.Errorf("mpi: %d message(s) exhausted their retry budget (%w%s): %w",
+			len(w.retriesExhausted), w.retriesExhausted[0], tail, err)
+	}
+	return err
 }

@@ -91,3 +91,24 @@ func TestBroadcastBatchAllocFree(t *testing.T) {
 		t.Fatalf("broadcast rounds of %d waiters allocated %.1f times, want 0", n, allocs)
 	}
 }
+
+// TestSpawnFirstRunAllocs pins what starting a process costs: the Proc
+// and the coroutine iter.Pull builds for it at its first run (closures
+// and captured state, measured at 13 with go1.24.0). A rank world pays
+// this once per rank, so growth here shows up directly at 64k ranks.
+func TestSpawnFirstRunAllocs(t *testing.T) {
+	const want = 13
+	e := NewEngine()
+	e.procs = make([]*Proc, 0, 128) // keep slice growth out of the count
+	body := func(p *Proc) { p.Sleep(1) }
+	cycle := func() {
+		e.Spawn("p", body)
+		if _, err := e.Run(Infinity); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != want {
+		t.Fatalf("spawn + first run allocated %.1f times, want %d", allocs, want)
+	}
+}

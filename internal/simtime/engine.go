@@ -325,19 +325,21 @@ func (w *WatchdogError) Error() string {
 	return msg
 }
 
-// KillLive condemns every live process and resumes each so its body
-// unwinds with a Killed panic at its current park point (a process that
-// never started is retired before its body runs). It is the goroutine
-// hygiene of an aborted run: without it, an interrupted simulation
-// leaks one parked goroutine per blocked rank. Call only while Run is
-// not executing; the engine is not usable for further Runs afterward.
+// KillLive condemns every live process and resumes each until it has
+// unwound with a Killed panic from its current park point (a process that
+// never started is retired without running its body). A deferred call
+// that parks during the unwind is resumed again and unwinds in turn. It
+// is the goroutine hygiene of an aborted run: without it, an interrupted
+// simulation leaks one parked coroutine per blocked rank. Call only while
+// Run is not executing; the engine is not usable for further Runs
+// afterward.
 func (e *Engine) KillLive() {
 	if e.running {
 		panic("simtime: KillLive called while Run is executing")
 	}
 	for _, p := range e.procs {
-		if !p.done {
-			p.killed = true
+		p.killed = true
+		for !p.done {
 			e.runProc(p)
 		}
 	}

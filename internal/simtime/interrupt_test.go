@@ -63,51 +63,3 @@ func TestInterruptPollCadence(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestKillLiveUnwindsParked: after an aborted run, KillLive retires
-// every parked process (no leaked goroutines, no deadlock report).
-func TestKillLiveUnwindsParked(t *testing.T) {
-	e := NewEngine()
-	c := NewCond(e)
-	var cleanups int
-	for i := 0; i < 3; i++ {
-		e.Spawn("parked", func(p *Proc) {
-			defer func() { cleanups++ }()
-			c.Wait(p, "never signaled")
-		})
-	}
-	abort := errors.New("abort")
-	e.SetInterrupt(func() error {
-		if e.Now() > 0 {
-			return abort
-		}
-		return nil
-	}, 1)
-	e.After(Duration(1), func() {})
-	e.After(Duration(2), func() {})
-	if _, err := e.Run(Infinity); !errors.Is(err, abort) {
-		t.Fatalf("Run err = %v, want abort", err)
-	}
-
-	e.KillLive()
-	if cleanups != 3 {
-		t.Fatalf("%d deferred cleanups ran, want 3 (Killed unwind runs defers)", cleanups)
-	}
-	for _, p := range e.procs {
-		if !p.done {
-			t.Fatalf("process %s still live after KillLive", p.describe())
-		}
-	}
-}
-
-// TestKillLiveBeforeStart: a spawned process whose body never began
-// executing is retired without running the body at all.
-func TestKillLiveBeforeStart(t *testing.T) {
-	e := NewEngine()
-	ran := false
-	e.Spawn("unstarted", func(p *Proc) { ran = true })
-	e.KillLive()
-	if ran {
-		t.Fatal("KillLive executed the body of a never-started process")
-	}
-}

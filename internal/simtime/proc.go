@@ -1,17 +1,27 @@
+//go:build go1.23
+
 package simtime
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// Proc is a cooperative simulated process: a goroutine that runs only when
-// the engine hands it control and yields back whenever it blocks on a
-// primitive. All Proc methods must be called from the process's own
-// goroutine (inside the body passed to Spawn).
+// Proc is a cooperative simulated process: a runtime coroutine (the one
+// behind iter.Pull) that runs only when the engine hands it control and
+// yields back whenever it blocks on a primitive. All Proc methods must be
+// called from the process's own body (inside the func passed to Spawn).
 type Proc struct {
-	eng    *Engine
-	id     int
-	name   string
-	resume chan struct{}
-	park   chan struct{}
+	eng  *Engine
+	id   int
+	name string
+	// body is the function given to Spawn, started by the coroutine.
+	body func(p *Proc)
+	// resume switches into the coroutine and returns when it parks or
+	// finishes; park switches back out. Both are nil until the first
+	// runProc creates the coroutine.
+	resume func() (struct{}, bool)
+	park   func(struct{}) bool
 	done   bool
 	// killed marks a process condemned by Kill; its next resume unwinds
 	// the body with a Killed panic instead of continuing.
@@ -23,43 +33,42 @@ type Proc struct {
 
 // Spawn creates a process named name whose body starts executing at the
 // current virtual time (when the engine reaches that event). The body runs
-// on its own goroutine but is serialized with all other simulation
-// activity.
+// on its own coroutine but is serialized with all other simulation
+// activity. The coroutine is created at the process's first run, not
+// here, so spawning a large world is cheap, and a process killed before
+// it ever runs never gets one.
+//
+// A panic in the body stops the engine and Run returns it as a
+// *ProcPanicError. A body that calls runtime.Goexit retires the process
+// and then exits the goroutine that called Run as well: the coroutine
+// hands the Goexit on to whoever resumed it.
 func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
-	p := &Proc{
-		eng:    e,
-		id:     len(e.procs),
-		name:   name,
-		resume: make(chan struct{}),
-		park:   make(chan struct{}),
-	}
+	p := &Proc{eng: e, id: len(e.procs), name: name, body: body}
 	e.procs = append(e.procs, p)
-	go func() {
-		defer func() {
-			// A panicking process must still hand control back,
-			// or the engine would block forever on the park
-			// channel. The panic is surfaced as a Run error.
-			if r := recover(); r != nil {
-				if _, wasKilled := r.(Killed); !wasKilled {
-					if e.panicErr == nil {
-						e.panicErr = &ProcPanicError{Proc: p.name, Value: r}
-					}
-					e.stopped = true
-				}
-			}
-			p.done = true
-			p.park <- struct{}{}
-		}()
-		<-p.resume
-		// A process condemned before its first resume (KillLive on an
-		// aborted run) retires without ever running its body.
-		if p.killed {
-			panic(Killed{})
-		}
-		body(p)
-	}()
 	e.wakeAt(e.now, p)
 	return p
+}
+
+// run is the coroutine body: it executes the process body and retires the
+// process however the body ends.
+func (p *Proc) run(park func(struct{}) bool) {
+	p.park = park
+	defer func() {
+		// A panicking process must not take the engine down with it:
+		// the coroutine would hand the panic on to runProc. A kill is
+		// retired silently; any other panic is surfaced as a Run error.
+		if r := recover(); r != nil {
+			if _, wasKilled := r.(Killed); !wasKilled {
+				e := p.eng
+				if e.panicErr == nil {
+					e.panicErr = &ProcPanicError{Proc: p.name, Value: r}
+				}
+				e.stopped = true
+			}
+		}
+		p.done = true
+	}()
+	p.body(p)
 }
 
 // ProcPanicError reports that a simulated process panicked; the engine
@@ -73,11 +82,11 @@ func (e *ProcPanicError) Error() string {
 	return fmt.Sprintf("simtime: process %s panicked: %v", e.Proc, e.Value)
 }
 
-// Killed is the value a killed process's unwind panics with. Spawn's
-// recovery recognizes it and retires the goroutine silently — a kill is a
-// modeled fault (crash-stop rank failure), not a logic error, so it is not
-// recorded as a ProcPanicError. Bodies that must release external state on
-// a crash can recover Killed themselves and re-panic.
+// Killed is the value a killed process's unwind panics with. The
+// process's own recovery recognizes it and retires the process silently —
+// a kill is a modeled fault (crash-stop rank failure), not a logic error,
+// so it is not recorded as a ProcPanicError. Bodies that must release
+// external state on a crash can recover Killed themselves and re-panic.
 type Killed struct{}
 
 // Kill condemns the process: it is resumed at the current virtual time and
@@ -92,22 +101,31 @@ func (p *Proc) Kill() {
 	p.eng.wakeAt(p.eng.now, p)
 }
 
-// runProc transfers control to p and blocks until p parks again (or
+// runProc transfers control to p and returns when p parks again (or
 // terminates). Must only be called from event context.
 func (e *Engine) runProc(p *Proc) {
 	if p.done {
 		return
 	}
-	p.resume <- struct{}{}
-	<-p.park
+	if p.resume == nil {
+		if p.killed {
+			// Condemned before its first run: retire without
+			// starting the body.
+			p.done = true
+			return
+		}
+		// No stop func is needed: a started process ends only by
+		// returning or unwinding out of its body.
+		p.resume, _ = iter.Pull(p.run)
+	}
+	p.resume()
 }
 
 // yield parks the process and hands control back to the engine; it returns
 // when some event resumes the process.
 func (p *Proc) yield(reason string) {
 	p.blockedOn = reason
-	p.park <- struct{}{}
-	<-p.resume
+	p.park(struct{}{})
 	if p.killed {
 		p.blockedOn = "killed"
 		panic(Killed{})
