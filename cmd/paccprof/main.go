@@ -171,8 +171,5 @@ func readReport(path string) (*analyze.Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if r.Schema != analyze.SchemaVersion {
-		return nil, fmt.Errorf("%s: schema %q is not a paccprof report (want %q)", path, r.Schema, analyze.SchemaVersion)
-	}
 	return r, nil
 }

@@ -290,6 +290,27 @@ func TestDiffThresholds(t *testing.T) {
 	}
 }
 
+// TestReadReportSchema checks that ReadReport accepts a written report
+// and rejects a missing or foreign schema, naming both values.
+func TestReadReportSchema(t *testing.T) {
+	var buf bytes.Buffer
+	if err := (&analyze.Report{Schema: analyze.SchemaVersion, Ranks: 8}).Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := analyze.ReadReport(&buf); err != nil {
+		t.Fatalf("written report rejected: %v", err)
+	}
+	for _, tc := range []struct{ doc, got string }{
+		{`{"ranks": 8}`, `""`},
+		{`{"schema": "pacc.analyze.report/v0", "ranks": 8}`, `"pacc.analyze.report/v0"`},
+	} {
+		_, err := analyze.ReadReport(strings.NewReader(tc.doc))
+		if err == nil || !strings.Contains(err.Error(), tc.got) || !strings.Contains(err.Error(), analyze.SchemaVersion) {
+			t.Errorf("ReadReport(%s) = %v, want an error naming %s and %q", tc.doc, err, tc.got, analyze.SchemaVersion)
+		}
+	}
+}
+
 // TestSlackSwitchCostFilter pins the harvestable-slack arithmetic on a
 // hand-built event stream: one wait of 100µs with 12µs switch costs
 // leaves 76µs harvestable by either mechanism; a 20µs wait clears

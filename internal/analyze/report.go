@@ -2,6 +2,7 @@ package analyze
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"sort"
@@ -312,11 +313,16 @@ func (r *Report) Write(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// ReadReport parses a report produced by Write.
+// ReadReport parses a report produced by Write. A document whose schema
+// is missing or not SchemaVersion is rejected: Diff skips unmatched
+// collectives, so a foreign file would otherwise compare as clean.
 func ReadReport(rd io.Reader) (*Report, error) {
 	var r Report
 	if err := json.NewDecoder(rd).Decode(&r); err != nil {
 		return nil, err
+	}
+	if r.Schema != SchemaVersion {
+		return nil, fmt.Errorf("analyze: report schema %q, want %q", r.Schema, SchemaVersion)
 	}
 	return &r, nil
 }

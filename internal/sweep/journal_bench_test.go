@@ -2,8 +2,6 @@ package sweep
 
 import (
 	"context"
-	"fmt"
-	"os"
 	"testing"
 	"time"
 )
@@ -38,110 +36,58 @@ func submitAllSequential(tb testing.TB, svc *Service, reqs []Request) {
 	}
 }
 
-// TestJournalOverheadBudget is the bench-guard gate (BENCH_10.json):
-// the healthy-path cost of durable acks. Both arms run the same unique
-// requests through real simulation on a fresh store; the journaled arm
-// adds the accepted-record fsync per submit. Min-of-5 interleaved
-// trials; the 0.5 budget is deliberately loose because CI disks vary
-// wildly in fsync latency — the gate exists to catch the journal
-// accidentally landing on the execution path (which shows up as 2-10x,
-// not 1.5x), not to benchmark the disk.
-func TestJournalOverheadBudget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("journal overhead gate skipped in -short mode")
-	}
+// BenchmarkJournalOverheadBudget gates the healthy-path cost of durable
+// acks. Both arms run the same unique requests through real simulation
+// on a fresh store; the journaled arm adds the accepted-record fsync
+// per submit. Min-of-5 interleaved trials; the 0.5 budget is
+// deliberately loose because CI disks vary wildly in fsync latency —
+// the gate exists to catch the journal accidentally landing on the
+// execution path (which shows up as 2-10x, not 1.5x), not to benchmark
+// the disk. Host-timed, so it runs only under -bench (CI's bench-guard
+// job).
+func BenchmarkJournalOverheadBudget(b *testing.B) {
+	const budget = 0.5
 	reqs := benchReqs(24)
 	cfg := Config{Workers: 2, QueueDepth: 64}
 
 	plainTrial := func() time.Duration {
-		store, _, err := OpenStore(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		svc := NewService(store, cfg)
-		defer svc.Close()
-		start := time.Now()
-		submitAllSequential(t, svc, reqs)
-		return time.Since(start)
-	}
-	journaledTrial := func() time.Duration {
-		svc, err := OpenService(t.TempDir(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer svc.Close()
-		if err := svc.WaitReady(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		start := time.Now()
-		submitAllSequential(t, svc, reqs)
-		return time.Since(start)
-	}
-
-	const trials = 5
-	plain, journaled := time.Duration(1<<62), time.Duration(1<<62)
-	for i := 0; i < trials; i++ { // interleaved so ambient noise hits both arms
-		if d := plainTrial(); d < plain {
-			plain = d
-		}
-		if d := journaledTrial(); d < journaled {
-			journaled = d
-		}
-	}
-	overhead := float64(journaled)/float64(plain) - 1
-	const budget = 0.5
-	t.Logf("plain %v, journaled %v, overhead %.4f (budget %.2f)", plain, journaled, overhead, budget)
-
-	if out := os.Getenv("PACC_BENCH_OUT"); out != "" {
-		body := fmt.Sprintf(`{
-  "benchmark": "24 unique allreduce 8x4 submits, sequential, real simulation",
-  "plain_us": %.1f,
-  "journaled_us": %.1f,
-  "journal_overhead": %.4f,
-  "budget": %.2f
-}`, float64(plain.Microseconds()), float64(journaled.Microseconds()), overhead, budget)
-		if err := os.WriteFile(out, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if overhead > budget {
-		t.Errorf("journaled submit overhead %.4f exceeds the %.2f budget (plain %v, journaled %v)",
-			overhead, budget, plain, journaled)
-	}
-}
-
-// BenchmarkSubmitPlain / BenchmarkSubmitJournaled are the raw arms for
-// manual investigation (go test -bench Submit -benchtime 10x).
-func BenchmarkSubmitPlain(b *testing.B) {
-	reqs := benchReqs(8)
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
 		store, _, err := OpenStore(b.TempDir())
 		if err != nil {
 			b.Fatal(err)
 		}
-		svc := NewService(store, Config{Workers: 2, QueueDepth: 64})
-		b.StartTimer()
+		svc := NewService(store, cfg)
+		defer svc.Close()
+		start := time.Now()
 		submitAllSequential(b, svc, reqs)
-		b.StopTimer()
-		svc.Close()
+		return time.Since(start)
 	}
-}
-
-func BenchmarkSubmitJournaled(b *testing.B) {
-	reqs := benchReqs(8)
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		svc, err := OpenService(b.TempDir(), Config{Workers: 2, QueueDepth: 64})
+	journaledTrial := func() time.Duration {
+		svc, err := OpenService(b.TempDir(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
+		defer svc.Close()
 		if err := svc.WaitReady(context.Background()); err != nil {
 			b.Fatal(err)
 		}
-		b.StartTimer()
+		start := time.Now()
 		submitAllSequential(b, svc, reqs)
-		b.StopTimer()
-		svc.Close()
+		return time.Since(start)
+	}
+
+	for n := 0; n < b.N; n++ {
+		plain, journaled := time.Duration(1<<62), time.Duration(1<<62)
+		for i := 0; i < 5; i++ { // interleaved so ambient noise hits both arms
+			plain = min(plain, plainTrial())
+			journaled = min(journaled, journaledTrial())
+		}
+		overhead := float64(journaled)/float64(plain) - 1
+		b.ReportMetric(float64(plain.Microseconds()), "plain-us")
+		b.ReportMetric(float64(journaled.Microseconds()), "journaled-us")
+		b.ReportMetric(overhead, "overhead")
+		if overhead > budget {
+			b.Errorf("journaled submit overhead %.4f exceeds the %.2f budget (plain %v, journaled %v)",
+				overhead, budget, plain, journaled)
+		}
 	}
 }

@@ -17,23 +17,24 @@ func svcReq(tenant string, i int) Request {
 }
 
 // countingRunner counts executions per key and returns key-derived bytes.
+// A non-nil release holds every run until it is closed.
 type countingRunner struct {
-	mu    sync.Mutex
-	runs  map[Key]int
-	delay time.Duration
+	mu      sync.Mutex
+	runs    map[Key]int
+	release chan struct{}
 }
 
-func newCountingRunner(delay time.Duration) *countingRunner {
-	return &countingRunner{runs: map[Key]int{}, delay: delay}
+func newCountingRunner() *countingRunner {
+	return &countingRunner{runs: map[Key]int{}}
 }
 
 func (c *countingRunner) run(ctx context.Context, req Request) ([]byte, error) {
 	c.mu.Lock()
 	c.runs[req.Key()]++
 	c.mu.Unlock()
-	if c.delay > 0 {
+	if c.release != nil {
 		select {
-		case <-time.After(c.delay):
+		case <-c.release:
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
@@ -48,7 +49,11 @@ func (c *countingRunner) count(k Key) int {
 }
 
 func TestServiceExactlyOnceUnderDuplication(t *testing.T) {
-	runner := newCountingRunner(time.Millisecond)
+	// A nil store only dedupes requests still in flight, so hold every
+	// run until all submits are in: each duplicate then arrives while its
+	// original is queued or running.
+	runner := newCountingRunner()
+	runner.release = make(chan struct{})
 	svc := NewService(nil, Config{Workers: 4, QueueDepth: 256, Run: runner.run})
 	defer svc.Close()
 
@@ -63,6 +68,7 @@ func TestServiceExactlyOnceUnderDuplication(t *testing.T) {
 			tickets = append(tickets, tk)
 		}
 	}
+	close(runner.release)
 	svc.Drain()
 	for _, tk := range tickets {
 		res, err := tk.Result()
@@ -452,7 +458,7 @@ func TestServiceStoreDedupeSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := newCountingRunner(0)
+	runner := newCountingRunner()
 	svc := NewService(store, Config{Workers: 2, Run: runner.run})
 	req := svcReq("t", 0)
 	tk, err := svc.Submit(req)
@@ -497,7 +503,7 @@ func TestServiceCorruptStoreEntryRecomputed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := newCountingRunner(0)
+	runner := newCountingRunner()
 	svc := NewService(store, Config{Workers: 1, Run: runner.run})
 	defer svc.Close()
 	req := svcReq("t", 0)
