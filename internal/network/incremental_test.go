@@ -2,6 +2,7 @@ package network
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"pacc/internal/simtime"
@@ -20,8 +21,11 @@ func splitmixTest(x uint64) uint64 {
 // storm of overlapping flows and link-fault windows with the
 // incremental-vs-full proof harness armed: after every component-scoped
 // solve the fabric re-solves everything and fails the run on any exact
-// rate mismatch. Any seed that finds a divergence is a bug in the
-// incremental fairness math.
+// rate mismatch, and every completion armed from the earliest-completion
+// heap is checked against a full scan. Any seed that finds a divergence
+// is a bug in the incremental fairness math or the completion index. The
+// checked-in corpus holds seeds whose same-instant bursts arm from the
+// heap while flows are stalled behind down links.
 func FuzzIncrementalMaxMin(f *testing.F) {
 	for _, seed := range []uint64{1, 7, 42, 0xdeadbeef, 1 << 40} {
 		f.Add(seed)
@@ -48,7 +52,9 @@ func FuzzIncrementalMaxMin(f *testing.F) {
 		// A few fault windows: degraded and fully-down links with
 		// overlapping spans, so cap changes hit busy components.
 		names := fab.LinkNames()
-		for i := 0; i < 4; i++ {
+		type window struct{ start, dur simtime.Duration }
+		var windows [4]window
+		for i := range windows {
 			name := names[next(uint64(len(names)))]
 			factor := float64(next(3)) * 0.35 // 0, 0.35, or 0.70
 			start := simtime.Duration(next(400)) * simtime.Micros(1)
@@ -56,6 +62,7 @@ func FuzzIncrementalMaxMin(f *testing.F) {
 			if err := fab.ScheduleLinkFault(name, factor, start, dur); err != nil {
 				t.Fatal(err)
 			}
+			windows[i] = window{start, dur}
 		}
 		// Random flow injections across the run. Zero-size and
 		// self-loops included; sizes span sub-byte-residue to multi-MB.
@@ -66,10 +73,38 @@ func FuzzIncrementalMaxMin(f *testing.F) {
 			at := simtime.Time(next(600)) * simtime.Time(simtime.Micros(1))
 			eng.At(at, func() { fab.StartFlow(src, dst, bytes) })
 		}
+		// Bursts of flows sharing one instant: after the first arm of
+		// an instant rebuilds the completion heap, the rest read it. Every
+		// other burst lands on a fault window's opening or closing edge
+		// or inside it.
+		for b := 0; b < 8; b++ {
+			at := simtime.Duration(next(600)) * simtime.Micros(1)
+			if b%2 == 0 {
+				w := windows[next(uint64(len(windows)))]
+				switch next(3) {
+				case 0:
+					at = w.start
+				case 1:
+					at = w.start + w.dur
+				default:
+					at = w.start + simtime.Duration(next(uint64(w.dur)))
+				}
+			}
+			for n := 2 + next(6); n > 0; n-- {
+				src := int(next(nodes))
+				dst := int(next(nodes))
+				bytes := int64(next(1 << 22))
+				eng.At(simtime.Time(0).Add(at), func() { fab.StartFlow(src, dst, bytes) })
+			}
+		}
 		if _, err := eng.Run(simtime.Infinity); err != nil {
 			var mism *IncrementalMismatchError
 			if errors.As(err, &mism) {
 				t.Fatalf("incremental solve diverged from full solve: %v", err)
+			}
+			var cm *CompletionMismatchError
+			if errors.As(err, &cm) {
+				t.Fatalf("completion heap diverged from full scan: %v", err)
 			}
 			// Flows stalled behind a down link when the queue drained
 			// are not an error of the solver; anything else is.
@@ -160,5 +195,64 @@ func TestIncrementalSolveAllocFree(t *testing.T) {
 	// growing per-link/fabric flow lists (amortized appends).
 	if allocs > 5 {
 		t.Fatalf("StartFlow on a warm fabric allocated %.1f times, want <= 5", allocs)
+	}
+}
+
+// TestCompletionCheckCatchesCorruptDelay: under the proof harness an arm
+// that reads the earliest-completion heap is checked against a full
+// scan, so one cached delay off by a nanosecond fails the run with a
+// CompletionMismatchError naming both durations.
+func TestCompletionCheckCatchesCorruptDelay(t *testing.T) {
+	eng, fab := newTestFabric(t, 4)
+	at := simtime.Time(simtime.Micros(1))
+	eng.At(at, func() {
+		// The clock moved, so this arm rebuilds the heap.
+		fab.StartFlow(0, 1, 1<<20)
+		// Still the minimum one nanosecond earlier, so heap order
+		// holds and only the value is wrong.
+		fab.heap[0].delay--
+		// A disjoint, slower flow at the same instant: this arm
+		// refreshes only its own component and reads the heap.
+		fab.StartFlow(2, 3, 1<<21)
+	})
+	_, err := eng.Run(simtime.Infinity)
+	var cm *CompletionMismatchError
+	if !errors.As(err, &cm) {
+		t.Fatalf("Run returned %v, want a CompletionMismatchError", err)
+	}
+	if cm.At != at || cm.Full <= 0 || cm.Indexed != cm.Full-1 {
+		t.Errorf("mismatch = %+v, want indexed one ns below full at %v", cm, at)
+	}
+	msg := cm.Error()
+	for _, want := range []string{cm.Indexed.String(), cm.Full.String()} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("error %q missing %q", msg, want)
+		}
+	}
+}
+
+// TestStarvedFlowReportedInFlowOrder: when one component solve starves
+// several flows, the run names the first of them in the fabric's flow
+// order, as a full scan always has, not the first the component walk
+// reached.
+func TestStarvedFlowReportedInFlowOrder(t *testing.T) {
+	eng, fab := newTestFabric(t, 6)
+	fab.StartFlow(4, 5, 1<<20) // unrelated, keeps the heap non-trivial
+	fab.StartFlow(0, 2, 1<<20) // will starve on node2-down
+	fab.StartFlow(3, 1, 1<<20) // will starve on node3-up
+	// Corrupt two capacities (adminFactor stays 1, so the paths count
+	// as healthy). The next flow joins both starving flows into one
+	// component at the same instant; the walk from its path reaches
+	// 3->1 before 0->2.
+	fab.up[3].cap = 0
+	fab.down[2].cap = 0
+	fab.StartFlow(3, 2, 1<<20)
+	_, err := eng.Run(simtime.Infinity)
+	var sf *StarvedFlowError
+	if !errors.As(err, &sf) {
+		t.Fatalf("Run returned %v, want a StarvedFlowError", err)
+	}
+	if sf.Src != 0 || sf.Dst != 2 || sf.At != 0 {
+		t.Errorf("starved flow = %+v, want 0->2 at 0", sf)
 	}
 }

@@ -13,7 +13,6 @@ package network
 import (
 	"fmt"
 	"math"
-	"os"
 
 	"pacc/internal/obs"
 	"pacc/internal/simtime"
@@ -155,8 +154,11 @@ type Flow struct {
 	linkPos [maxPathLinks]int32
 	// mark/frozen are solver scratch: visited stamp for component
 	// walks, frozen flag during water-filling.
-	mark    uint64
-	frozen  bool
+	mark   uint64
+	frozen bool
+	// hpos is the flow's slot in Fabric.heap, -1 while it has none
+	// (zero rate, or the heap is stale).
+	hpos    int32
 	done    *simtime.Future
 	started simtime.Time
 	// obsEnd closes the flow's trace span and link-busy intervals; nil
@@ -206,6 +208,12 @@ type Fabric struct {
 	// full solve bit for bit. checkRates is its scratch.
 	checkIncremental bool
 	checkRates       []float64
+	// heap is the earliest-completion index: a binary min-heap of the
+	// active flows with a positive rate and their cached completion
+	// delays. heapStale marks every cached delay invalid; the next
+	// armNext rebuilds the heap with a full scan.
+	heap      []completion
+	heapStale bool
 	// BytesMoved counts payload bytes fully delivered, for throughput
 	// accounting and tests.
 	bytesMoved int64
@@ -228,9 +236,6 @@ func NewFabric(eng *simtime.Engine, nodes int, cfg Config) (*Fabric, error) {
 		eng:   eng,
 		cfg:   cfg,
 		nodes: nodes,
-	}
-	if os.Getenv("PACC_CHECK_INCREMENTAL") == "1" {
-		f.checkIncremental = true
 	}
 	for n := 0; n < nodes; n++ {
 		f.up = append(f.up, newLink(fmt.Sprintf("node%d-up", n), cfg.LinkBytesPerSec))
@@ -343,11 +348,13 @@ func (f *Fabric) InterRackBytes() int64 {
 // Config returns the fabric configuration.
 func (f *Fabric) Config() Config { return f.cfg }
 
-// SetCheckIncremental toggles the incremental-solver proof harness: when
-// on, every component-scoped rate solve is followed by a full-fabric
-// solve and any exact-rate mismatch fails the run with an
-// IncrementalMismatchError. Also enabled by PACC_CHECK_INCREMENTAL=1 in
-// the environment. Expensive; meant for tests and debugging.
+// SetCheckIncremental toggles the incremental proof harness: when on,
+// every component-scoped rate solve is followed by a full-fabric solve
+// and any exact-rate mismatch fails the run with an
+// IncrementalMismatchError, and every completion read from the
+// earliest-completion heap is checked against a full scan, failing the
+// run with a CompletionMismatchError on any difference. Expensive; meant
+// for tests and debugging.
 func (f *Fabric) SetCheckIncremental(on bool) { f.checkIncremental = on }
 
 // NumNodes returns the number of attached nodes.
@@ -378,6 +385,7 @@ func (f *Fabric) StartFlow(src, dst int, bytes int64) *Flow {
 		remaining: float64(bytes),
 		done:      simtime.NewFuture(f.eng),
 		started:   f.eng.Now(),
+		hpos:      -1,
 	}
 	f.routeInto(fl)
 	if b := f.obs; b != nil {
@@ -474,8 +482,11 @@ func (f *Fabric) addFlow(fl *Flow) {
 }
 
 // removeFlow unregisters fl with O(1) swap-removes, fixing the moved
-// entries' back-pointers.
+// entries' back-pointers, and drops it from the completion heap.
 func (f *Fabric) removeFlow(fl *Flow) {
+	if !f.heapStale && fl.hpos >= 0 {
+		f.heapRemove(fl)
+	}
 	last := len(f.flows) - 1
 	moved := f.flows[last]
 	f.flows[fl.idx] = moved
@@ -494,7 +505,8 @@ func (f *Fabric) removeFlow(fl *Flow) {
 }
 
 // advance drains bytes from all active flows at their current rates for
-// the interval since the last update.
+// the interval since the last update. Moving the clock changes every
+// flow's remaining bytes, so it invalidates every cached completion.
 func (f *Fabric) advance() {
 	now := f.eng.Now()
 	dt := now.Sub(f.lastUpdate).Seconds()
@@ -505,6 +517,7 @@ func (f *Fabric) advance() {
 				fl.remaining = 0
 			}
 		}
+		f.heapStale = true
 	}
 	f.lastUpdate = now
 }
@@ -535,7 +548,8 @@ func (f *Fabric) seedLinks(links []*link) {
 // within a component the freeze rounds subtract identical shares in
 // every order), so leaving them untouched is exact, not approximate.
 // When checkIncremental is set, a full-fabric solve follows and any
-// rate difference fails the run.
+// rate difference fails the run. The component's flows are the only ones
+// whose rates moved, so only their cached completions are refreshed.
 func (f *Fabric) solveComponent() {
 	g := f.markGen
 	for i := 0; i < len(f.compLinks); i++ {
@@ -556,6 +570,7 @@ func (f *Fabric) solveComponent() {
 		}
 	}
 	waterfill(f.compFlows, f.compLinks)
+	f.refreshCompletions()
 	if f.checkIncremental {
 		f.verifyAgainstFull()
 	}
@@ -579,7 +594,7 @@ func (f *Fabric) resolveAll() {
 // IncrementalMismatchError reports that the component-scoped rate solve
 // diverged from the full-fabric solve — the invariant the incremental
 // fairness optimization rests on. Only produced under
-// SetCheckIncremental / PACC_CHECK_INCREMENTAL=1.
+// SetCheckIncremental.
 type IncrementalMismatchError struct {
 	At          simtime.Time
 	Src, Dst    int
@@ -595,7 +610,8 @@ func (e *IncrementalMismatchError) Error() string {
 
 // verifyAgainstFull re-solves the whole fabric and fails the run if any
 // flow's rate differs (exact float comparison: the incremental solve
-// must be bit-identical, not merely close).
+// must be bit-identical, not merely close). A passing check leaves every
+// rate as it was, so the completion cache stays valid.
 func (f *Fabric) verifyAgainstFull() {
 	f.checkRates = f.checkRates[:0]
 	for _, fl := range f.flows {
@@ -604,6 +620,7 @@ func (f *Fabric) verifyAgainstFull() {
 	f.resolveAll()
 	for i, fl := range f.flows {
 		if fl.rate != f.checkRates[i] {
+			f.heapStale = true
 			f.eng.Fail(&IncrementalMismatchError{
 				At: f.eng.Now(), Src: fl.Src, Dst: fl.Dst,
 				Incremental: f.checkRates[i], Full: fl.rate,
@@ -679,53 +696,32 @@ func waterfill(flows []*Flow, links []*link) {
 // Flow starts and completions go through solveComponent instead.
 func (f *Fabric) reschedule() {
 	f.resolveAll()
+	f.heapStale = true
 	f.armNext()
 }
 
-// armNext finds the earliest predicted completion among active flows
-// and arms one event for it. The per-flow finish estimate is
-// re-derived from current remaining/rate on every call — it must be,
-// because nanosecond rounding of the division does not commute with
-// advancing the clock, and a cached estimate would drift off the
-// historical event timing.
+// armNext arms one event for the earliest predicted completion among
+// active flows. The delay comes from the earliest-completion heap; each
+// flow's cached delay is exactly what a scan would compute now, because
+// within one instant it depends only on the flow's remaining bytes and
+// rate, and those change in only three ways:
+//   - advance moves the clock, changing every flow's remaining bytes;
+//   - solveComponent re-rates its component's flows, which it refreshes;
+//   - a full re-solve (reschedule) may re-rate every flow.
+//
+// The first and last invalidate the whole cache, and the next arm
+// rebuilds it with a full scan. Every arm bumps gen and schedules its
+// event, so equal-timestamp event order is the same as scanning on
+// every arm.
 func (f *Fabric) armNext() {
 	f.gen++
 	if len(f.flows) == 0 {
 		return
 	}
-	next := simtime.Duration(math.MaxInt64)
-	armed := false
-	for _, fl := range f.flows {
-		if fl.rate <= 0 {
-			if pathAdminDown(fl.path()) {
-				// Legitimately stalled behind a down link; the
-				// restore event recomputes rates, so no completion
-				// is armed for this flow.
-				continue
-			}
-			// Zero rate with every link up is a fabric logic error;
-			// surface it as a structured failure instead of crashing
-			// the process.
-			f.eng.Fail(&StarvedFlowError{
-				At: f.eng.Now(), Src: fl.Src, Dst: fl.Dst,
-				Bytes: fl.Bytes, Links: linkNames(fl.path()),
-			})
-			return
-		}
-		d := simtime.DurationOf(fl.remaining / fl.rate)
-		if d < 1 {
-			// Sub-nanosecond residue must still advance the clock,
-			// or the completion event would re-fire at the same
-			// instant forever.
-			d = 1
-		}
-		if d < next {
-			next = d
-		}
-		armed = true
-	}
-	if !armed {
-		// Every active flow is stalled on a down link.
+	next := f.earliestCompletion()
+	if next < 0 {
+		// Every active flow is stalled on a down link, or the run
+		// has failed.
 		return
 	}
 	gen := f.gen

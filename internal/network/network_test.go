@@ -8,6 +8,9 @@ import (
 	"pacc/internal/simtime"
 )
 
+// newTestFabric builds a default fabric with the incremental proof
+// harness on, so every test that drives it also checks the component
+// solves and the earliest-completion heap against full recomputation.
 func newTestFabric(t *testing.T, nodes int) (*simtime.Engine, *Fabric) {
 	t.Helper()
 	eng := simtime.NewEngine()
@@ -15,6 +18,7 @@ func newTestFabric(t *testing.T, nodes int) (*simtime.Engine, *Fabric) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	f.SetCheckIncremental(true)
 	return eng, f
 }
 
