@@ -61,8 +61,10 @@ func fallbackToFlat(c *mpi.Comm, op string) bool {
 	r := c.Owner()
 	if b := r.World().Obs(); b != nil && c.Rank() == 0 {
 		b.Add(obs.CtrCollectiveFallbacks, 1)
-		b.Instant(r.ObsTrack(), "fallback "+op+" → binomial (degraded fabric)",
-			map[string]any{"links": r.World().Fabric().DegradedLinks()})
+		if b.Tracing() {
+			b.Instant(r.ObsTrack(), "fallback "+op+" → binomial (degraded fabric)",
+				map[string]any{"links": r.World().Fabric().DegradedLinks()})
+		}
 	}
 	return true
 }
@@ -141,8 +143,10 @@ func allreduceSum(c *mpi.Comm, bytes int64, a redVal, opt Options) redVal {
 			var sp obs.SpanHandle
 			if fallback && leadC.Rank() == 0 {
 				b.Add(obs.CtrCollectiveFallbacks, 1)
-				sp = b.Begin(r.ObsTrack(), "fallback ring (degraded fabric)",
-					map[string]any{"links": r.World().Fabric().DegradedLinks()})
+				if b.Tracing() {
+					sp = b.Begin(r.ObsTrack(), "fallback ring (degraded fabric)",
+						map[string]any{"links": r.World().Fabric().DegradedLinks()})
+				}
 			}
 			if useRing {
 				sum = ringSum(leadC, c, block, bytes, sum, opt)

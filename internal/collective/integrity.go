@@ -156,7 +156,9 @@ func verifyRed(c *mpi.Comm, op string, bytes int64, a redVal) error {
 	}
 	if b := r.World().Obs(); b != nil {
 		b.Add(obs.CtrIntegrityVerifyFails, 1)
-		b.Instant(r.ObsTrack(), "abft verify failed", map[string]any{"op": op})
+		if b.Tracing() {
+			b.Instant(r.ObsTrack(), "abft verify failed", map[string]any{"op": op})
+		}
 	}
 	return &VerificationError{Op: op, Sum: a.v, Check: a.chk}
 }

@@ -174,25 +174,26 @@ func (t *Trace) Phase(name string) simtime.Duration {
 }
 
 // timePhase runs fn and accrues its duration under name; with an
-// observability bus attached it also emits the interval as a span on the
-// calling rank's timeline.
+// observability bus that records a timeline it also emits the interval
+// as a span on the calling rank's timeline.
 func timePhase(c *mpi.Comm, tr *Trace, name string, fn func()) {
 	r := c.Owner()
 	start := r.Now()
 	fn()
 	end := r.Now()
 	tr.Add(name, end.Sub(start))
-	if b := r.World().Obs(); b != nil {
+	if b := r.World().Obs(); b.Tracing() {
 		b.Span(r.ObsTrack(), "phase "+name, start, end, nil)
 	}
 }
 
 // timeCollective wraps one top-level collective call: it accrues the
 // total phase into opt.Trace and, with an observability bus attached,
-// emits a per-rank span named after the operation and records per-call
-// metrics — call count, rank 0's wall time, and the cluster energy drawn
-// while rank 0 was inside the call. bytes < 0 means the per-pair size
-// varies (the v variants); the span then omits the bytes arg.
+// records per-call metrics — call count, rank 0's wall time, and the
+// cluster energy drawn while rank 0 was inside the call — and, when the
+// bus records a timeline, a per-rank span named after the operation.
+// bytes < 0 means the per-pair size varies (the v variants); the span
+// then omits the bytes arg.
 func timeCollective(c *mpi.Comm, opt Options, op string, bytes int64, fn func()) {
 	r := c.Owner()
 	w := r.World()
@@ -200,10 +201,6 @@ func timeCollective(c *mpi.Comm, opt Options, op string, bytes int64, fn func())
 	if b == nil {
 		timePhase(c, opt.Trace, PhaseTotal, fn)
 		return
-	}
-	args := map[string]any{"power": opt.Power.String()}
-	if bytes >= 0 {
-		args["bytes"] = bytes
 	}
 	rank0 := c.Rank() == 0
 	var e0 float64
@@ -214,7 +211,13 @@ func timeCollective(c *mpi.Comm, opt Options, op string, bytes int64, fn func())
 	fn()
 	end := r.Now()
 	opt.Trace.Add(PhaseTotal, end.Sub(start))
-	b.Span(r.ObsTrack(), op, start, end, args)
+	if b.Tracing() {
+		args := map[string]any{"power": opt.Power.String()}
+		if bytes >= 0 {
+			args["bytes"] = bytes
+		}
+		b.Span(r.ObsTrack(), op, start, end, args)
+	}
 	if rank0 {
 		b.Add(obs.CollectivePrefix+op+".calls", 1)
 		b.SetHistBuckets(obs.CollectivePrefix+op+".energy_j", obs.EnergyBuckets)

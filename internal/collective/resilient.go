@@ -61,9 +61,11 @@ func demoteSuspects(comm *mpi.Comm) *mpi.Comm {
 	}
 	if b := w.Obs(); b != nil {
 		b.Add(obs.CtrCollectiveDemotions, int64(len(suspects)))
-		b.Instant(r.ObsTrack(), "demote suspects", map[string]any{
-			"suspects": len(suspects),
-		})
+		if b.Tracing() {
+			b.Instant(r.ObsTrack(), "demote suspects", map[string]any{
+				"suspects": len(suspects),
+			})
+		}
 	}
 	return comm.Sub(plan.DemoteOrder(comm.Size(), suspects))
 }
@@ -123,9 +125,11 @@ func RunResilient(c *mpi.Comm, body func(*mpi.Comm) error) (*mpi.Comm, error) {
 		}
 		if b := w.Obs(); b != nil {
 			b.Add(obs.CtrCollectiveRecoveries, 1)
-			b.Instant(r.ObsTrack(), "collective recovery", map[string]any{
-				"failed": len(failed), "round": round,
-			})
+			if b.Tracing() {
+				b.Instant(r.ObsTrack(), "collective recovery", map[string]any{
+					"failed": len(failed), "round": round,
+				})
+			}
 		}
 		// Shrink even when the failed set is empty (a revoke with no dead
 		// member, or a pure integrity retry): the retry needs an unrevoked

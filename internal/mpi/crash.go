@@ -195,7 +195,9 @@ func (r *Rank) awaitFT(f *simtime.Future, reason string, peer int, c *Comm) erro
 	}
 	if b := w.obs; b != nil {
 		b.Add(obs.CtrFaultPeerFailures, 1)
-		b.Instant(r.track, "peer failure detected", map[string]any{"peer": peer})
+		if b.Tracing() {
+			b.Instant(r.track, "peer failure detected", map[string]any{"peer": peer})
+		}
 	}
 	return &PeerFailedError{Peer: peer, Op: reason}
 }

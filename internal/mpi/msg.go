@@ -51,14 +51,14 @@ type sendState struct {
 // context, so the closure is handed to Future.Then. The closure is
 // idempotent: a wait abandoned by failure detection closes the span
 // immediately, and the no-op second call keeps a transfer that still
-// completes afterwards from double-ending it. Returns nil when
-// observability is off.
+// completes afterwards from double-ending it. Returns nil when the bus
+// records no timeline.
 func (r *Rank) msgSpan(kind string, dst int, bytes int64) func() {
 	b := r.world.obs
-	if b == nil {
+	if !b.Tracing() {
 		return nil
 	}
-	name := fmt.Sprintf("%s %s %d→%d", kind, obs.SizeLabel(bytes), r.id, dst)
+	name := obs.TransferName(kind, bytes, r.id, dst)
 	args := map[string]any{"src": r.id, "dst": dst, "bytes": bytes}
 	id := b.AsyncBegin(r.track, "mpi", name, args)
 	ended := false
@@ -202,9 +202,8 @@ func (r *Rank) Isend(dst int, bytes int64, tag int) *Request {
 			r.copySleep(w.cfg.Shm.CopyTime(bytes, 1.0))
 			arr := w.eng.GetFuture()
 			arr.Complete()
-			if b := w.obs; b != nil {
-				b.Instant(r.track, fmt.Sprintf("eager-shm %s %d→%d",
-					obs.SizeLabel(bytes), r.id, dst), nil)
+			if b := w.obs; b.Tracing() {
+				b.Instant(r.track, obs.TransferName("eager-shm", bytes, r.id, dst), nil)
 			}
 			m := w.getMsg()
 			m.src, m.tag, m.seq, m.bytes = r.id, tag, seq, bytes

@@ -192,10 +192,11 @@ func (r *Rank) ComputeSeconds(secs float64) {
 // await blocks on a future with the configured progression semantics:
 // polling spins (core stays busy), blocking idles the core and pays the
 // interrupt + reschedule latency on wakeup. With observability attached,
-// the wait is recorded as a span on the rank's timeline (carrying the
-// peer rank being waited on, when known — the dependency edge the
-// analytics engine's critical-path walk follows) and accrued into the
-// spin/block wait-time metric. peer < 0 (or self) records no edge.
+// the wait is accrued into the spin/block wait-time metric and, when the
+// bus records a timeline, recorded as a span on the rank's timeline
+// (carrying the peer rank being waited on, when known — the dependency
+// edge the analytics engine's critical-path walk follows). peer < 0 (or
+// self) records no edge.
 func (r *Rank) await(f *simtime.Future, reason string, peer int) {
 	if f.IsDone() {
 		return
@@ -205,28 +206,28 @@ func (r *Rank) await(f *simtime.Future, reason string, peer int) {
 	if b != nil {
 		start = b.Now()
 	}
-	var args map[string]any
-	if b != nil && peer >= 0 && peer != r.id {
-		args = map[string]any{"peer": peer}
-	}
+	dur := obs.DurWaitSpin
 	if r.world.cfg.Mode == Blocking {
+		dur = obs.DurWaitBlock
 		r.core.SetBusy(false)
 		f.Await(r.proc, reason)
 		r.core.SetBusy(true)
 		r.busySleep(r.world.cfg.InterruptLatency)
-		if b != nil {
-			end := b.Now()
-			b.Span(r.track, "wait "+reason, start, end, args)
-			b.AddDuration(obs.DurWaitBlock, end.Sub(start))
-		}
+	} else {
+		f.Await(r.proc, reason)
+	}
+	if b == nil {
 		return
 	}
-	f.Await(r.proc, reason)
-	if b != nil {
-		end := b.Now()
+	end := b.Now()
+	if b.Tracing() {
+		var args map[string]any
+		if peer >= 0 && peer != r.id {
+			args = map[string]any{"peer": peer}
+		}
 		b.Span(r.track, "wait "+reason, start, end, args)
-		b.AddDuration(obs.DurWaitSpin, end.Sub(start))
 	}
+	b.AddDuration(dur, end.Sub(start))
 }
 
 // SetFreq performs one DVFS transition on this rank's core, paying the
@@ -245,8 +246,10 @@ func (r *Rank) SetFreq(ghz float64) {
 	if r.world.inj.TransitionLost(r.core.ID(), true) {
 		if b := r.world.obs; b != nil {
 			b.Add(obs.CtrFaultTransitionsLost, 1)
-			b.Instant(r.track, fmt.Sprintf("dvfs write lost (want %.1fGHz, stuck at %.1fGHz)",
-				target, r.core.FreqGHz()), nil)
+			if b.Tracing() {
+				b.Instant(r.track, fmt.Sprintf("dvfs write lost (want %.1fGHz, stuck at %.1fGHz)",
+					target, r.core.FreqGHz()), nil)
+			}
 		}
 		return
 	}
@@ -254,7 +257,9 @@ func (r *Rank) SetFreq(ghz float64) {
 	if b := r.world.obs; b != nil {
 		b.Add(obs.CtrDVFSTransitions, 1)
 		b.AddDuration(obs.DurDVFSOverhead, r.world.cfg.Power.ODVFS)
-		b.Instant(r.track, fmt.Sprintf("dvfs %.1fGHz", r.core.FreqGHz()), nil)
+		if b.Tracing() {
+			b.Instant(r.track, fmt.Sprintf("dvfs %.1fGHz", r.core.FreqGHz()), nil)
+		}
 	}
 }
 
@@ -276,8 +281,10 @@ func (r *Rank) SetThrottle(t power.TState) {
 	if r.world.inj.TransitionLost(r.core.ID(), false) {
 		if b := r.world.obs; b != nil {
 			b.Add(obs.CtrFaultTransitionsLost, 1)
-			b.Instant(r.track, fmt.Sprintf("throttle write lost (want %v, stuck at %v)",
-				t, r.core.Throttle()), nil)
+			if b.Tracing() {
+				b.Instant(r.track, fmt.Sprintf("throttle write lost (want %v, stuck at %v)",
+					t, r.core.Throttle()), nil)
+			}
 		}
 		return
 	}
@@ -285,7 +292,9 @@ func (r *Rank) SetThrottle(t power.TState) {
 	if b := r.world.obs; b != nil {
 		b.Add(obs.CtrThrottleTransitions, 1)
 		b.AddDuration(obs.DurThrottleOverhead, r.world.cfg.Power.OThrottle)
-		b.Instant(r.track, fmt.Sprintf("throttle %v", t), nil)
+		if b.Tracing() {
+			b.Instant(r.track, fmt.Sprintf("throttle %v", t), nil)
+		}
 	}
 }
 

@@ -228,7 +228,9 @@ func (c *Comm) Revoke() {
 	f.Complete()
 	if b := w.obs; b != nil {
 		b.Add(obs.CtrFaultCommRevokes, 1)
-		b.Instant(c.r.track, fmt.Sprintf("revoke comm %d", c.id), nil)
+		if b.Tracing() {
+			b.Instant(c.r.track, fmt.Sprintf("revoke comm %d", c.id), nil)
+		}
 	}
 }
 

@@ -222,7 +222,7 @@ func (w *World) Size() int { return len(w.ranks) }
 func (w *World) AttachObs(b *obs.Bus) {
 	w.obs = b
 	w.fabric.SetObs(b)
-	if b == nil {
+	if !b.Tracing() {
 		return
 	}
 	for n := 0; n < w.cfg.Topo.Nodes; n++ {

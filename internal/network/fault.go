@@ -137,11 +137,13 @@ func (f *Fabric) applyLinkWindows(l *link) {
 	}
 	if b := f.obs; b != nil {
 		b.Add(obs.CtrFaultLinkEvents, 1)
-		name := "link restore " + l.name
-		if factor < 1 {
-			name = fmt.Sprintf("link fault %s ×%g", l.name, factor)
+		if b.Tracing() {
+			name := "link restore " + l.name
+			if factor < 1 {
+				name = fmt.Sprintf("link fault %s ×%g", l.name, factor)
+			}
+			b.Instant(obs.FaultTrack(), name, map[string]any{"link": l.name, "factor": factor})
 		}
-		b.Instant(obs.FaultTrack(), name, map[string]any{"link": l.name, "factor": factor})
 	}
 	f.reschedule()
 }

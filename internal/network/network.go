@@ -161,8 +161,8 @@ type Flow struct {
 	hpos    int32
 	done    *simtime.Future
 	started simtime.Time
-	// obsEnd closes the flow's trace span and link-busy intervals; nil
-	// when observability is off.
+	// obsEnd closes the flow's link-busy intervals and, when the bus
+	// records a timeline, its trace span; nil when observability is off.
 	obsEnd func()
 }
 
@@ -391,13 +391,17 @@ func (f *Fabric) StartFlow(src, dst int, bytes int64) *Flow {
 	if b := f.obs; b != nil {
 		b.Add(obs.CtrNetFlows, 1)
 		b.Add(obs.CtrNetFlowBytes, bytes)
-		track := obs.NetTrack(src)
-		name := fmt.Sprintf("flow %s %d→%d", obs.SizeLabel(bytes), src, dst)
-		id := b.AsyncBegin(track, "net", name, nil)
 		f.obsLinkStart(fl.path())
-		fl.obsEnd = func() {
-			f.obsLinkEnd(fl.path())
-			b.AsyncEnd(track, "net", name, id)
+		if b.Tracing() {
+			track := obs.NetTrack(src)
+			name := obs.TransferName("flow", bytes, src, dst)
+			id := b.AsyncBegin(track, "net", name, nil)
+			fl.obsEnd = func() {
+				f.obsLinkEnd(fl.path())
+				b.AsyncEnd(track, "net", name, id)
+			}
+		} else {
+			fl.obsEnd = func() { f.obsLinkEnd(fl.path()) }
 		}
 	}
 	if bytes == 0 {

@@ -2,9 +2,14 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"sort"
 )
+
+// ErrNoTimeline is returned by WriteChromeTrace on a metrics-only bus
+// (NewMetricsBus), which never recorded the events a trace holds.
+var ErrNoTimeline = errors.New("obs: metrics-only bus records no timeline")
 
 // chromeEvent is one entry of the Chrome trace-event JSON array (the
 // format read by chrome://tracing and ui.perfetto.dev).
@@ -24,12 +29,16 @@ type chromeEvent struct {
 // WriteChromeTrace exports every recorded timeline event as one Chrome
 // trace JSON array: metadata (process/thread names) first, then events
 // stable-sorted by timestamp, so identical runs produce identical bytes.
-// A nil bus writes an empty array. A recorded power timeline is folded
-// in first (EmitPowerSpans).
+// A nil bus writes an empty array; a metrics-only bus writes nothing and
+// returns ErrNoTimeline. A recorded power timeline is folded in first
+// (EmitPowerSpans).
 func (b *Bus) WriteChromeTrace(w io.Writer) error {
 	if b == nil {
 		_, err := w.Write([]byte("[]\n"))
 		return err
+	}
+	if !b.tracing {
+		return ErrNoTimeline
 	}
 	b.EmitPowerSpans()
 	b.mu.Lock()

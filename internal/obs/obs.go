@@ -14,13 +14,27 @@
 // Chrome/Perfetto trace with WriteChromeTrace and a metrics snapshot with
 // WriteMetricsJSON.
 //
+// A bus comes in two kinds, and callers pick by what they read back:
+//
+//   - NewBus records the timeline as well as the metrics. The pacc
+//     facade's AttachObs session, the fault chaos harness, perfbench and
+//     the tests use it: they export traces, subscribe analytics, or check
+//     span balance.
+//   - NewMetricsBus keeps counters, durations, histograms, link-busy time
+//     and power residency, and records no events. sweep.Simulate uses it,
+//     because a result payload holds only WriteMetricsJSON, and the sweep
+//     service's own telemetry uses it with no engine at all.
+//
+// Producers test Tracing before building span names or args, so a
+// metrics-only bus pays for neither. Worlds without a bus stay nil-bus.
+//
 // Exports are deterministic: events keep their (deterministic) emission
 // order, sorts are stable, and JSON maps marshal with sorted keys, so two
 // identical runs produce byte-identical artifacts.
 package obs
 
 import (
-	"fmt"
+	"strconv"
 	"sync"
 
 	"pacc/internal/simtime"
@@ -236,7 +250,8 @@ func (h Histogram) Mean() float64 {
 }
 
 // Bus accumulates observability data for one simulation. Construct with
-// NewBus; a nil *Bus is a valid, disabled bus.
+// NewBus, or with NewMetricsBus for metrics without a timeline; a nil
+// *Bus is a valid, disabled bus.
 //
 // A Bus is safe for concurrent use: emitters, counter/histogram
 // updates, Subscribe/Unsubscribe and the export methods may race freely
@@ -248,7 +263,10 @@ func (h Histogram) Mean() float64 {
 // observe events from several goroutines at once.
 type Bus struct {
 	eng *simtime.Engine
-	mu  sync.Mutex
+	// tracing is false on a metrics-only bus, which leaves the timeline,
+	// name and subscriber fields empty.
+	tracing bool
+	mu      sync.Mutex
 	// The timeline is a chunked arena: fixed-size blocks that fill in
 	// emission order. Unlike one growing slice, recording never recopies
 	// what came before — appending is a slot write, a new block is
@@ -276,24 +294,41 @@ type Bus struct {
 	power *powerTimeline
 }
 
-// NewBus returns an enabled bus reading time from eng.
+// NewBus returns an enabled bus reading time from eng that records the
+// timeline as well as the metrics.
 func NewBus(eng *simtime.Engine) *Bus {
+	b := NewMetricsBus(eng)
+	b.tracing = true
+	b.procNames = make(map[int]string)
+	b.threadNames = make(map[Track]string)
+	return b
+}
+
+// NewMetricsBus returns an enabled bus that keeps counters, durations,
+// histograms, link-busy time and (after RecordPower) power residency,
+// but records no timeline: Span, Instant, AsyncBegin and the name
+// setters return at once, Subscribe returns 0 and WriteChromeTrace
+// fails. eng may be nil for a bus that is never asked the time.
+func NewMetricsBus(eng *simtime.Engine) *Bus {
 	return &Bus{
-		eng:         eng,
-		procNames:   make(map[int]string),
-		threadNames: make(map[Track]string),
-		counters:    make(map[string]int64),
-		durations:   make(map[string]simtime.Duration),
-		hists:       make(map[string]*Histogram),
+		eng:       eng,
+		counters:  make(map[string]int64),
+		durations: make(map[string]simtime.Duration),
+		hists:     make(map[string]*Histogram),
 	}
 }
 
 // Enabled reports whether the bus records anything (false for nil).
 func (b *Bus) Enabled() bool { return b != nil }
 
-// Now returns the bus clock (zero for a nil bus).
+// Tracing reports whether the bus records a timeline (false for nil and
+// for a metrics-only bus). Producers test it before building span names
+// or args.
+func (b *Bus) Tracing() bool { return b != nil && b.tracing }
+
+// Now returns the bus clock (zero for a nil bus or one without engine).
 func (b *Bus) Now() simtime.Time {
-	if b == nil {
+	if b == nil || b.eng == nil {
 		return 0
 	}
 	return b.eng.Now()
@@ -301,7 +336,7 @@ func (b *Bus) Now() simtime.Time {
 
 // SetProcessName labels a trace process (Perfetto group), e.g. "node 2".
 func (b *Bus) SetProcessName(pid int, name string) {
-	if b == nil {
+	if !b.Tracing() {
 		return
 	}
 	b.mu.Lock()
@@ -311,7 +346,7 @@ func (b *Bus) SetProcessName(pid int, name string) {
 
 // SetThreadName labels one timeline row, e.g. "rank 17".
 func (b *Bus) SetThreadName(t Track, name string) {
-	if b == nil {
+	if !b.Tracing() {
 		return
 	}
 	b.mu.Lock()
@@ -348,9 +383,10 @@ func (b *Bus) emit(ev event) {
 // context. Events already recorded are not replayed — use EachEvent to
 // catch up. Subscribers observe, they never alter: the bus's recorded
 // state is identical with zero or many subscribers. Returns 0 on a nil
-// bus (Unsubscribe ignores it).
+// or metrics-only bus, which has no timeline to deliver (Unsubscribe
+// ignores it).
 func (b *Bus) Subscribe(fn func(Event)) SubID {
-	if b == nil || fn == nil {
+	if !b.Tracing() || fn == nil {
 		return 0
 	}
 	b.mu.Lock()
@@ -425,7 +461,7 @@ func forEachEvent(chunks []*[eventChunkSize]event, n int, fn func(event)) {
 // observation fed to a bucketed histogram still lands deterministically
 // in its first bucket (see Histogram).
 func (b *Bus) Span(t Track, name string, start, end simtime.Time, args map[string]any) {
-	if b == nil || end <= start {
+	if !b.Tracing() || end <= start {
 		return
 	}
 	b.emit(event{
@@ -435,7 +471,7 @@ func (b *Bus) Span(t Track, name string, start, end simtime.Time, args map[strin
 
 // SpanHandle is an open span created by Begin; call End (or EndWith) from
 // the same logical thread when the spanned region finishes. The zero
-// value (from a nil bus) is inert.
+// value (from a nil or metrics-only bus) is inert.
 type SpanHandle struct {
 	b     *Bus
 	t     Track
@@ -446,7 +482,7 @@ type SpanHandle struct {
 
 // Begin opens a span at the current simulation time.
 func (b *Bus) Begin(t Track, name string, args map[string]any) SpanHandle {
-	if b == nil {
+	if !b.Tracing() {
 		return SpanHandle{}
 	}
 	return SpanHandle{b: b, t: t, name: name, start: b.eng.Now(), args: args}
@@ -478,7 +514,7 @@ func (s SpanHandle) EndWith(args map[string]any) {
 
 // Instant records a zero-duration marker event.
 func (b *Bus) Instant(t Track, name string, args map[string]any) {
-	if b == nil {
+	if !b.Tracing() {
 		return
 	}
 	b.emit(event{
@@ -489,9 +525,9 @@ func (b *Bus) Instant(t Track, name string, args map[string]any) {
 // AsyncBegin opens an asynchronous span — a lifecycle that starts and
 // ends on different logical threads or overlaps others on its track
 // (message deliveries, network flows). It returns the id to pass to
-// AsyncEnd; 0 from a nil bus (AsyncEnd ignores it).
+// AsyncEnd; 0 from a nil or metrics-only bus (AsyncEnd ignores it).
 func (b *Bus) AsyncBegin(t Track, cat, name string, args map[string]any) uint64 {
-	if b == nil {
+	if !b.Tracing() {
 		return 0
 	}
 	b.mu.Lock()
@@ -696,12 +732,31 @@ func (b *Bus) Events() int {
 // SizeLabel formats a byte count the way span names do (power-of-two
 // units, e.g. "256KiB"), shared so traces stay uniform across layers.
 func SizeLabel(bytes int64) string {
+	var buf [24]byte
+	return string(appendSizeLabel(buf[:0], bytes))
+}
+
+func appendSizeLabel(dst []byte, bytes int64) []byte {
 	switch {
 	case bytes >= 1<<20 && bytes%(1<<20) == 0:
-		return fmt.Sprintf("%dMiB", bytes>>20)
+		return append(strconv.AppendInt(dst, bytes>>20, 10), "MiB"...)
 	case bytes >= 1<<10 && bytes%(1<<10) == 0:
-		return fmt.Sprintf("%dKiB", bytes>>10)
+		return append(strconv.AppendInt(dst, bytes>>10, 10), "KiB"...)
 	default:
-		return fmt.Sprintf("%dB", bytes)
+		return append(strconv.AppendInt(dst, bytes, 10), 'B')
 	}
+}
+
+// TransferName names a point-to-point transfer span the way every layer
+// does, e.g. "rdv 256KiB 3→17" or "flow 4KiB 0→1".
+func TransferName(kind string, bytes int64, src, dst int) string {
+	var buf [64]byte
+	b := append(buf[:0], kind...)
+	b = append(b, ' ')
+	b = appendSizeLabel(b, bytes)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(src), 10)
+	b = append(b, "→"...)
+	b = strconv.AppendInt(b, int64(dst), 10)
+	return string(b)
 }

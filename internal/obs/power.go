@@ -106,10 +106,10 @@ func powerStateName(sc power.StateChange) string {
 // once: one span per constant-state interval up to now, in (core, start)
 // order, on the core's track with watts, frequency, T-state and busy
 // flag as args. Spans therefore follow every event already emitted, and
-// streaming subscribers see them too. Later calls, and buses without
-// RecordPower, are no-ops.
+// streaming subscribers see them too. Later calls, metrics-only buses
+// and buses without RecordPower are no-ops.
 func (b *Bus) EmitPowerSpans() {
-	if b == nil {
+	if !b.Tracing() {
 		return
 	}
 	type coreInterval struct {
@@ -124,7 +124,7 @@ func (b *Bus) EmitPowerSpans() {
 	}
 	p.spansEmitted = true
 	var all []coreInterval
-	p.each(b.eng.Now(), func(core int, sp coreSpan) {
+	p.each(p.station.Now(), func(core int, sp coreSpan) {
 		all = append(all, coreInterval{core, sp})
 	})
 	b.mu.Unlock()
@@ -168,7 +168,7 @@ func (b *Bus) addPowerResidency() {
 		sc   power.StateChange // At zeroed: the state alone
 	}
 	sums := map[key]simtime.Duration{}
-	p.each(b.eng.Now(), func(core int, sp coreSpan) {
+	p.each(p.station.Now(), func(core int, sp coreSpan) {
 		k := key{core: core, sc: sp.state}
 		k.sc.At = 0
 		sums[k] += sp.end.Sub(sp.state.At)

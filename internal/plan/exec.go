@@ -133,7 +133,7 @@ func Execute(p *Plan, env Env) error {
 			if env.OnPhase != nil {
 				env.OnPhase(ph.name, end.Sub(ph.start))
 			}
-			if bus != nil {
+			if bus.Tracing() {
 				bus.Span(r.ObsTrack(), "phase "+ph.name, ph.start, end, nil)
 			}
 		default:

@@ -12,6 +12,7 @@ import (
 	"pacc/internal/fault"
 	"pacc/internal/mpi"
 	"pacc/internal/obs"
+	"pacc/internal/simtime"
 )
 
 // RunFunc executes one request and returns its result payload. The
@@ -102,10 +103,17 @@ func DecodeResult(payload []byte) (*Result, error) {
 
 // Simulate runs the request's simulation to completion and returns the
 // deterministic result payload: elapsed virtual time, cluster energy,
-// and the full metrics snapshot of an attached obs bus. Identical
-// requests produce byte-identical payloads; ctx aborts a running
-// simulation between events with a typed mpi.CanceledError.
+// and the full metrics snapshot of an attached obs bus. The bus is
+// metrics-only: nothing reads a request's timeline, so none is recorded.
+// Identical requests produce byte-identical payloads; ctx aborts a
+// running simulation between events with a typed mpi.CanceledError.
 func Simulate(ctx context.Context, req Request) ([]byte, error) {
+	return simulate(ctx, req, obs.NewMetricsBus)
+}
+
+// simulate is Simulate with the bus constructor as a parameter, so tests
+// can run the same request on a bus that also records the timeline.
+func simulate(ctx context.Context, req Request, newBus func(*simtime.Engine) *obs.Bus) ([]byte, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
@@ -138,7 +146,7 @@ func Simulate(ctx context.Context, req Request) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	bus := obs.NewBus(w.Engine())
+	bus := newBus(w.Engine())
 	w.AttachObs(bus)
 	// A crash-stop spec kills ranks permanently and the plain barrier
 	// has no failure path: run iterations back-to-back instead (the

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"pacc/internal/obs"
-	"pacc/internal/simtime"
 )
 
 // Config tunes a Service. Zero values select the documented defaults.
@@ -212,7 +211,7 @@ func newService(store *Store, wal *WAL, cfg Config) *Service {
 		cfg:        cfg.withDefaults(),
 		store:      store,
 		wal:        wal,
-		bus:        obs.NewBus(simtime.NewEngine()),
+		bus:        obs.NewMetricsBus(nil),
 		inflight:   map[Key]*job{},
 		tenantLoad: map[string]int{},
 		quarantine: map[Key]*QuarantinedError{},
