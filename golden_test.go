@@ -190,7 +190,10 @@ func checkGolden(t *testing.T, path string, want, got map[string]string) {
 }
 
 // sweepGoldenRequests are the canonical sweep cells: three ops under each
-// power mode at 16 ranks, and one faulted cell.
+// power mode at 16 ranks, and one cell per fault family. The fault cells
+// pin the retry, NACK, requeue and crash paths: message loss and
+// corruption hash each message's sequence number, and every retried
+// attempt starts a fresh flow.
 func sweepGoldenRequests() map[string]sweep.Request {
 	reqs := map[string]sweep.Request{}
 	for _, op := range []string{"alltoall", "bcast", "allreduce_topo"} {
@@ -201,6 +204,22 @@ func sweepGoldenRequests() map[string]sweep.Request {
 	reqs["allreduce_topo_proposed_slow_degrade"] = sweep.Request{
 		Op: "allreduce_topo", Procs: 16, PPN: 8, Bytes: 256 << 10, Mode: "proposed",
 		Fault: "seed=7;slow=3@4x:200us+2ms;degrade=node1-up@0.5:100us+5ms",
+	}
+	reqs["alltoall_freq-scaling_msgloss"] = sweep.Request{
+		Op: "alltoall", Procs: 16, PPN: 8, Bytes: 64 << 10, Mode: "freq-scaling", Iters: 2,
+		Fault: "seed=3;msgloss=0.05;retry=7",
+	}
+	reqs["allreduce_ft_proposed_corrupt"] = sweep.Request{
+		Op: "allreduce_ft", Procs: 16, PPN: 8, Bytes: 4 << 10, Mode: "proposed", Iters: 2,
+		Fault: "seed=5;corrupt=0.05",
+	}
+	reqs["bcast_no-power_linkdown"] = sweep.Request{
+		Op: "bcast", Procs: 16, PPN: 8, Bytes: 64 << 10, Mode: "no-power", Iters: 2,
+		Fault: "seed=11;linkdown=node0-up:10us+100us",
+	}
+	reqs["allreduce_ft_no-power_crash"] = sweep.Request{
+		Op: "allreduce_ft", Procs: 16, PPN: 8, Bytes: 64 << 10, Mode: "no-power", Iters: 2,
+		Fault: "seed=9;crash=5@30us",
 	}
 	return reqs
 }
