@@ -27,12 +27,10 @@ func Barrier(c *mpi.Comm) {
 	block := c.TagBlock()
 	round := 0
 	for dist := 1; dist < p; dist <<= 1 {
-		to := (me + dist) % p
-		from := (me - dist + p) % p
 		tag := block + round
-		rq := c.Irecv(from, 0, tag)
-		sq := c.Isend(to, 0, tag)
-		mpi.WaitAll(sq, rq)
+		// Exchange posts the receive, starts the send and waits on
+		// both, then recycles the two requests.
+		c.Exchange((me+dist)%p, 0, tag, (me-dist+p)%p, 0, tag)
 		round++
 	}
 }

@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -128,4 +129,76 @@ func BenchmarkScale4096AllgatherRD(b *testing.B) {
 	benchmarkEventRate(b, scale4096MinEventsPerSec, func(tb testing.TB) (int, time.Duration) {
 		return runCollective(tb, perfConfig(4096, 8), 1, 1<<10, AllgatherRD)
 	})
+}
+
+// barrierMaxAllocsPerMessage bounds the heap allocations of a warm
+// barrier per message it sends. It is a structural bound, not a
+// calibrated floor: every per-message object (request, mailbox entry,
+// future, flow, completion arm) is pooled, so a warm barrier allocates
+// only when a pool or a queue first grows past its earlier peak.
+const barrierMaxAllocsPerMessage = 0.05
+
+// secondBarrierAllocs builds a world of procs ranks (8 per node) whose
+// ranks run two barriers a virtual second apart, runs the first one,
+// and returns the heap allocations and messages (payload and control)
+// of the second, which finds every pool warm.
+func secondBarrierAllocs(tb testing.TB, procs int) (allocs, msgs uint64) {
+	tb.Helper()
+	w, err := mpi.NewWorld(perfConfig(procs, 8))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	w.Launch(func(r *mpi.Rank) {
+		c := mpi.CommWorld(r)
+		Barrier(c)
+		r.Idle(simtime.Second)
+		Barrier(c)
+	})
+	eng := w.Engine()
+	// Every rank leaves the first barrier within microseconds, so at
+	// half a second all of them are idling before the second.
+	if _, err := eng.Run(simtime.Time(0).Add(simtime.Second / 2)); err != nil {
+		tb.Fatal(err)
+	}
+	stats0 := w.Stats()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	if _, err := eng.Run(simtime.Infinity); err != nil {
+		tb.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	stats1 := w.Stats()
+	msgs = uint64(stats1.Messages() + stats1.Control - stats0.Messages() - stats0.Control)
+	return m1.Mallocs - m0.Mallocs, msgs
+}
+
+// checkBarrierAllocs fails tb when the second barrier of a procs-rank
+// world allocates more than barrierMaxAllocsPerMessage per message.
+func checkBarrierAllocs(tb testing.TB, procs int) {
+	tb.Helper()
+	allocs, msgs := secondBarrierAllocs(tb, procs)
+	if msgs == 0 {
+		tb.Fatal("the second barrier sent no messages")
+	}
+	per := float64(allocs) / float64(msgs)
+	tb.Logf("%d-rank barrier: %d allocs over %d messages (%.3f per message)", procs, allocs, msgs, per)
+	if per > barrierMaxAllocsPerMessage {
+		tb.Errorf("%d-rank barrier: %.3f allocs per message, bound %g", procs, per, barrierMaxAllocsPerMessage)
+	}
+}
+
+// TestBarrierAllocsPerMessage holds a warm 1024-rank barrier to
+// barrierMaxAllocsPerMessage.
+func TestBarrierAllocsPerMessage(t *testing.T) {
+	checkBarrierAllocs(t, 1024)
+}
+
+// BenchmarkBarrier65536 holds a warm barrier at 65536 ranks (8192 nodes
+// x 8) to the same per-message bound, the scale where a per-message
+// allocation costs seconds of GC.
+func BenchmarkBarrier65536(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		checkBarrierAllocs(b, 65536)
+	}
 }

@@ -14,9 +14,9 @@ import (
 // correctness checks.
 
 // netFlow injects one protocol message (eager payload, RTS, CTS, or
-// rendezvous data) into the fabric with reliable delivery. Without an
-// active injector it degenerates to exactly the historical StartFlow +
-// Then chain, so fault-free runs are bit-identical to builds without the
+// rendezvous data) into the fabric with reliable delivery; deliver runs
+// as an event when it lands. Without an active injector it is one fabric
+// Transfer, so fault-free runs are bit-identical to builds without the
 // fault subsystem.
 //
 // With injection active it models InfiniBand RC semantics: every attempt
@@ -34,8 +34,7 @@ func (w *World) netFlow(class fault.MsgClass, src, dst int, wire int64, seq uint
 	srcNode, dstNode := w.place.NodeOf(src), w.place.NodeOf(dst)
 	in := w.inj
 	if !in.Enabled() {
-		fl := w.fabric.StartFlow(srcNode, dstNode, wire)
-		fl.Done().Then(deliver)
+		w.fabric.Transfer(srcNode, dstNode, wire, deliver)
 		return
 	}
 	budget := in.RetryBudget()
@@ -48,14 +47,15 @@ func (w *World) netFlow(class fault.MsgClass, src, dst int, wire int64, seq uint
 			w.eng.At(until, func() { attempt(n) })
 			return
 		}
-		fl := w.fabric.StartFlow(srcNode, dstNode, wire)
+		// Drop and Corrupt are pure hashes of the attempt, so deciding
+		// before the flow starts changes nothing.
 		dropped := in.Drop(class, src, dst, seq, n)
 		corrupted := false
 		if !dropped {
 			corrupted = in.Corrupt(class, src, dst, seq, n, w.tstateDepth(src))
 		}
 		if !dropped && !corrupted {
-			fl.Done().Then(deliver)
+			w.fabric.Transfer(srcNode, dstNode, wire, deliver)
 			return
 		}
 		if dropped {
@@ -64,7 +64,7 @@ func (w *World) netFlow(class fault.MsgClass, src, dst int, wire int64, seq uint
 			// retransmits.
 			w.obs.Add(obs.CtrFaultMsgDrops, 1)
 		}
-		fl.Done().Then(func() {
+		w.fabric.Transfer(srcNode, dstNode, wire, func() {
 			if corrupted {
 				// Delivered on schedule, but the ICRC check rejects the
 				// payload and NACKs the sender.

@@ -19,10 +19,9 @@ const (
 
 // inMsg is one message as seen by the receiving mailbox.
 type inMsg struct {
-	src, tag int
-	seq      uint64
-	bytes    int64
-	kind     msgKind
+	src, dst, tag int
+	bytes         int64
+	kind          msgKind
 	// intraShm marks an eager message that traveled through shared
 	// memory; the receiver pays the copy-out on pickup.
 	intraShm bool
@@ -31,19 +30,33 @@ type inMsg struct {
 	arrived *simtime.Future
 	// snd is the sender-side state of a rendezvous transfer.
 	snd *sendState
+	// land is the message's arrival callback (World.land), built once
+	// when the object is first allocated and kept by putMsg, so handing
+	// it to the fabric or the engine allocates nothing.
+	land func()
 }
 
 // sendState tracks a rendezvous transfer from the sender's perspective.
+// It is pooled: the sender's wait and the receiver's completion each
+// hold one reference, and the second release recycles it.
 type sendState struct {
 	src, dst int
 	bytes    int64
 	seq      uint64
 	intraShm bool
+	// refs counts the owners that have not released the state yet.
+	refs int
 	// cts completes when the receiver has matched the RTS (clear to
 	// send). Used by the shared-memory single-copy path.
-	cts *simtime.Future
+	cts simtime.Future
 	// dataDone completes when the payload has fully arrived.
-	dataDone *simtime.Future
+	dataDone simtime.Future
+	// The transfer's event callbacks, built once per object:
+	// shmCTS completes cts after the shared-memory notification delay;
+	// ctsLanded starts the payload injection once a network CTS
+	// reaches the sender; inject starts the payload flow; dataLanded
+	// completes dataDone.
+	shmCTS, ctsLanded, inject, dataLanded func()
 }
 
 // msgSpan opens an async message-lifecycle span on the sender's timeline
@@ -121,6 +134,17 @@ func (w *World) deliver(dst int, m *inMsg) {
 	box.unexpected.push(m)
 }
 
+// land runs in event context when a message reaches its destination
+// node: the eager payload flow or RTS flow is delivered, or the
+// shared-memory RTS notification fires. An eager payload becomes
+// available before the message is matched.
+func (w *World) land(m *inMsg) {
+	if m.kind == eagerMsg {
+		m.arrived.Complete()
+	}
+	w.deliver(m.dst, m)
+}
+
 // wireBytes derates payload size in blocking mode: interrupt-driven
 // progression keeps the pipeline only partially full, so the same payload
 // occupies the wire longer.
@@ -150,19 +174,53 @@ func (w *World) sendCTS(st *sendState) {
 	if st.intraShm {
 		// The receiver's match flag flips in shared memory; the
 		// sender observes it after a notification delay.
-		w.eng.After(w.cfg.IntraStartup, func() { st.cts.Complete() })
+		w.eng.After(w.cfg.IntraStartup, st.shmCTS)
 		return
 	}
-	w.netFlow(fault.CTS, st.dst, st.src, 0, st.seq, func() {
+	w.netFlow(fault.CTS, st.dst, st.src, 0, st.seq, st.ctsLanded)
+}
+
+// getSend returns a recycled (or new) rendezvous state holding one
+// reference for the sender's wait and one for the receiver's completion.
+func (w *World) getSend() *sendState {
+	if n := len(w.freeSends); n > 0 {
+		st := w.freeSends[n-1]
+		w.freeSends = w.freeSends[:n-1]
+		st.refs = 2
+		return st
+	}
+	st := &sendState{refs: 2}
+	st.cts.Init(w.eng)
+	st.dataDone.Init(w.eng)
+	st.shmCTS = func() { st.cts.Complete() }
+	st.ctsLanded = func() {
 		// Payload injection: the sender-side CPU feeds the HCA at a
 		// rate set by its *current* speed (a throttled sender injects
 		// slower — the mechanism behind the paper's Cthrottle).
 		inj := simtime.DurationOf(w.hostCost(st.bytes).Seconds() / w.ranks[st.src].copySpeed())
-		w.eng.After(inj, func() {
-			w.netFlow(fault.Data, st.src, st.dst, w.wireBytes(st.bytes), st.seq,
-				func() { st.dataDone.Complete() })
-		})
-	})
+		w.eng.After(inj, st.inject)
+	}
+	st.inject = func() {
+		w.netFlow(fault.Data, st.src, st.dst, w.wireBytes(st.bytes), st.seq, st.dataLanded)
+	}
+	st.dataLanded = func() { st.dataDone.Complete() }
+	return st
+}
+
+// releaseSend drops one reference to a rendezvous state. The last
+// release — the sender's wait or the receiver's completion, whichever
+// returns second — recycles it: by then dataDone has completed, its
+// waiters and callbacks are in the event queue, and the message that
+// carried the state has left both mailbox queues. A failed wait never
+// releases, so a state a failure path may still reach leaks to the GC.
+func (w *World) releaseSend(st *sendState) {
+	st.refs--
+	if st.refs > 0 {
+		return
+	}
+	st.cts.Reset()
+	st.dataDone.Reset()
+	w.freeSends = append(w.freeSends, st)
 }
 
 // Isend starts a nonblocking send of bytes to global rank dst. The send
@@ -180,11 +238,16 @@ func (r *Rank) Isend(dst int, bytes int64, tag int) *Request {
 	if bytes < 0 {
 		return errorRequest(r, fmt.Errorf("mpi: Isend with negative size %d", bytes))
 	}
-	if r.sendSeq == nil {
-		r.sendSeq = make(map[int]uint64)
+	var seq uint64
+	if w.inj.Enabled() {
+		// Only the fault injector reads sequence numbers: it hashes
+		// them to pick lost and corrupted attempts.
+		if r.sendSeq == nil {
+			r.sendSeq = make(map[int]uint64)
+		}
+		r.sendSeq[dst]++
+		seq = r.sendSeq[dst]
 	}
-	r.sendSeq[dst]++
-	seq := r.sendSeq[dst]
 	// Send-side progress beacon (piggybacked — no extra message, no
 	// virtual time): initiating traffic is evidence the rank is alive
 	// and moving, whatever its speed.
@@ -206,26 +269,23 @@ func (r *Rank) Isend(dst int, bytes int64, tag int) *Request {
 				b.Instant(r.track, obs.TransferName("eager-shm", bytes, r.id, dst), nil)
 			}
 			m := w.getMsg()
-			m.src, m.tag, m.seq, m.bytes = r.id, tag, seq, bytes
+			m.src, m.dst, m.tag, m.bytes = r.id, dst, tag, bytes
 			m.kind, m.intraShm, m.arrived = eagerMsg, true, arr
 			w.deliver(dst, m)
 			return completedRequest(r)
 		}
 		// Rendezvous single copy: wait for the match, then copy
 		// straight into the receiver's buffer.
-		st := &sendState{
-			src: r.id, dst: dst, bytes: bytes, intraShm: true,
-			cts:      simtime.NewFuture(w.eng),
-			dataDone: simtime.NewFuture(w.eng),
-		}
+		st := w.getSend()
+		st.src, st.dst, st.bytes, st.seq, st.intraShm = r.id, dst, bytes, seq, true
 		end := r.msgSpan("rdv-shm", dst, bytes)
 		if end != nil {
 			st.dataDone.Then(end)
 		}
 		m := w.getMsg()
-		m.src, m.tag, m.seq, m.bytes = r.id, tag, seq, bytes
+		m.src, m.dst, m.tag, m.bytes = r.id, dst, tag, bytes
 		m.kind, m.snd = rtsMsg, st
-		w.eng.After(w.cfg.IntraStartup, func() { w.deliver(dst, m) })
+		w.eng.After(w.cfg.IntraStartup, m.land)
 		q := w.getReq(r)
 		q.kind, q.peer, q.bytes, q.st, q.end = reqRdvShm, dst, bytes, st, end
 		return q
@@ -242,28 +302,24 @@ func (r *Rank) Isend(dst int, bytes int64, tag int) *Request {
 			arr.Then(end)
 		}
 		m := w.getMsg()
-		m.src, m.tag, m.seq, m.bytes = r.id, tag, seq, bytes
+		m.src, m.dst, m.tag, m.bytes = r.id, dst, tag, bytes
 		m.kind, m.arrived = eagerMsg, arr
-		w.netFlow(fault.Eager, r.id, dst, w.wireBytes(bytes), seq, func() {
-			arr.Complete()
-			w.deliver(dst, m)
-		})
+		w.netFlow(fault.Eager, r.id, dst, w.wireBytes(bytes), seq, m.land)
 		return completedRequest(r)
 	}
-	// No cts future: the network rendezvous chains CTS delivery straight
-	// into the payload flow inside sendCTS, so only dataDone is observed.
-	st := &sendState{
-		src: r.id, dst: dst, bytes: bytes, seq: seq,
-		dataDone: simtime.NewFuture(w.eng),
-	}
+	// The network rendezvous never completes cts: sendCTS chains CTS
+	// delivery straight into the payload flow, so only dataDone is
+	// observed.
+	st := w.getSend()
+	st.src, st.dst, st.bytes, st.seq, st.intraShm = r.id, dst, bytes, seq, false
 	end := r.msgSpan("rdv", dst, bytes)
 	if end != nil {
 		st.dataDone.Then(end)
 	}
 	m := w.getMsg()
-	m.src, m.tag, m.seq, m.bytes = r.id, tag, seq, bytes
+	m.src, m.dst, m.tag, m.bytes = r.id, dst, tag, bytes
 	m.kind, m.snd = rtsMsg, st
-	w.netFlow(fault.RTS, r.id, dst, 0, seq, func() { w.deliver(dst, m) })
+	w.netFlow(fault.RTS, r.id, dst, 0, seq, m.land)
 	q := w.getReq(r)
 	q.kind, q.peer, q.bytes, q.st, q.end = reqRdvNet, dst, bytes, st, end
 	return q
@@ -274,9 +330,10 @@ func (r *Rank) Isend(dst int, bytes int64, tag int) *Request {
 // buffer and complete the transfer.
 func (q *Request) waitRdvShm() error {
 	r, st := q.r, q.st
-	restore := r.p2pScaleDown(st.cts)
-	defer restore()
-	if err := r.awaitFT(st.cts, "shm rendezvous cts", q.peer, q.comm); err != nil {
+	if r.p2pScaleDown(&st.cts) {
+		defer r.ScaleUp()
+	}
+	if err := r.awaitFT(&st.cts, "shm rendezvous cts", q.peer, q.comm); err != nil {
 		if q.end != nil {
 			q.end()
 		}
@@ -284,18 +341,23 @@ func (q *Request) waitRdvShm() error {
 	}
 	r.copySleep(r.world.cfg.Shm.CopyTime(q.bytes, 1.0))
 	st.dataDone.Complete()
+	q.st = nil
+	r.world.releaseSend(st)
 	return nil
 }
 
 // waitRdvNet progresses a network rendezvous send: the HCA handles the
 // CTS and payload autonomously, so the wait only observes dataDone.
 func (q *Request) waitRdvNet() error {
-	if err := q.r.awaitFT(q.st.dataDone, "rendezvous data", q.peer, q.comm); err != nil {
+	st := q.st
+	if err := q.r.awaitFT(&st.dataDone, "rendezvous data", q.peer, q.comm); err != nil {
 		if q.end != nil {
 			q.end()
 		}
 		return err
 	}
+	q.st = nil
+	q.r.world.releaseSend(st)
 	return nil
 }
 
@@ -343,12 +405,10 @@ func (q *Request) waitRecv() error {
 	// §VIII power-aware p2p: an intra-node rendezvous-sized
 	// receive waits at fmin (the wait is event-driven, so only
 	// the two DVFS transitions cost time).
-	restore := nopRestore
 	if w.place.SameNode(r.id, src) && w.cfg.Mode == Polling &&
-		bytes > w.cfg.EagerThreshold {
-		restore = r.p2pScaleDown(pr.match)
+		bytes > w.cfg.EagerThreshold && r.p2pScaleDown(pr.match) {
+		defer r.ScaleUp()
 	}
-	defer restore()
 	if err := r.awaitFT(pr.match, "recv match", src, q.comm); err != nil {
 		return err
 	}
@@ -375,14 +435,16 @@ func (q *Request) waitRecv() error {
 		// callbacks; the sender's delivery closure has already run.
 		w.eng.PutFuture(m.arrived)
 	case rtsMsg:
-		if err := r.awaitFT(m.snd.dataDone, "recv rendezvous data", src, q.comm); err != nil {
+		if err := r.awaitFT(&m.snd.dataDone, "recv rendezvous data", src, q.comm); err != nil {
 			return err
 		}
+		w.releaseSend(m.snd)
 	}
 	// Fully received: the message has left both mailbox queues and
 	// this wait body runs at most once, so the receive pair and the
 	// match future (completed, unreferenced outside pr) can be
 	// recycled. Abandoned or failed waits above leak to the GC.
+	q.pr = nil
 	w.eng.PutFuture(pr.match)
 	w.putMsg(m)
 	w.putRecv(pr)

@@ -47,31 +47,38 @@ func (q *fifo[T]) removeAt(i int) {
 	q.items = q.items[:len(q.items)-1]
 }
 
-// Mailbox object pools. Every point-to-point message allocates an inMsg
-// on the send side and (usually) a pendingRecv on the receive side;
-// at 4k+ ranks that is the single largest garbage source in the
-// runtime. Both structs have exactly one owner at their end of life —
-// an inMsg is held only by pendingRecv.msg once matched (it has left
-// both mailbox queues), and a pendingRecv only by its receive request's
-// wait closure, which runs at most once (Request.Wait is idempotent) —
-// so they are recycled at the two points proven single-release: the
-// successful end of a receive wait, and the dead-rank drop in deliver.
-// Error paths deliberately leak to the GC: correctness over reuse.
-// sendState and Futures are NOT pooled — a sendState is referenced from
-// both the wire message and the sender's wait closure, and a Future's
-// one-shot Complete invariant makes reuse a protocol hazard.
+// Mailbox object pools. Every point-to-point message takes an inMsg on
+// the send side and (usually) a pendingRecv on the receive side; at 4k+
+// ranks they would be the largest garbage source in the runtime. Both
+// structs have exactly one owner at their end of life — an inMsg is
+// held only by pendingRecv.msg once matched (it has left both mailbox
+// queues), and a pendingRecv only by its receive request, whose wait
+// runs at most once (Request.Wait is idempotent) — so they are recycled
+// at the two points proven single-release: the successful end of a
+// receive wait (waitRecv, which also returns the eager payload and match
+// futures through Engine.PutFuture), and the dead-rank drop in deliver.
+// Error paths deliberately leak to the GC: correctness over reuse. The
+// other per-message objects have their own release points: a rendezvous
+// sendState is recycled by releaseSend (msg.go) once both the sender's
+// wait and the receiver's completion are done with it, a fabric flow by
+// its own delivery event, and a blocking or collective request by
+// reapReq (request.go).
 
+// getMsg returns a recycled (or new) message. A new message gets its
+// arrival callback here, once; putMsg keeps it.
 func (w *World) getMsg() *inMsg {
 	if n := len(w.freeMsgs); n > 0 {
 		m := w.freeMsgs[n-1]
 		w.freeMsgs = w.freeMsgs[:n-1]
 		return m
 	}
-	return new(inMsg)
+	m := new(inMsg)
+	m.land = func() { w.land(m) }
+	return m
 }
 
 func (w *World) putMsg(m *inMsg) {
-	*m = inMsg{}
+	*m = inMsg{land: m.land}
 	w.freeMsgs = append(w.freeMsgs, m)
 }
 

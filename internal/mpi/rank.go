@@ -18,12 +18,13 @@ type Rank struct {
 	proc  *simtime.Proc
 	core  *power.Core
 	box   mailbox
-	// seq numbers outgoing messages per destination for debugging and
-	// deterministic tie-breaks. Sparse: a rank messages O(log P) peers
-	// in tree/dissemination collectives, while a dense per-destination
-	// array would be O(P) per rank — O(P²) for the job, gigabytes at
-	// 64k ranks. The counter values (and so all tie-breaks) are
-	// identical either way.
+	// sendSeq numbers outgoing messages per destination. Its only
+	// reader is the fault injector, which hashes (src, dst, seq,
+	// attempt) to pick lost and corrupted attempts, so Isend counts only
+	// while an injector is enabled and the map stays nil otherwise.
+	// Sparse: a rank messages O(log P) peers in tree/dissemination
+	// collectives, while a dense per-destination array would be O(P)
+	// per rank — O(P²) for the job, gigabytes at 64k ranks.
 	sendSeq map[int]uint64
 	// commSeq counts communicator creations for congruent tag-space ids.
 	commSeq int
@@ -341,23 +342,16 @@ func (r *Rank) RecoverPower(attempts int) bool {
 // p2pScaleDown implements the PowerAwareP2P option: if enabled, the core
 // is at fmax (no collective is managing it), and the wait is not already
 // over, drop to fmin for the duration of an intra-node rendezvous wait.
-// The returned function restores the previous frequency (no-op when the
-// scale-down was skipped).
-func (r *Rank) p2pScaleDown(pending *simtime.Future) func() {
-	// The config is read through the world pointer, not copied: a local
-	// Config copy captured by the restore closure would escape to the
-	// heap on every call, including the common disabled path.
+// It reports whether it scaled down; the caller then restores fmax with
+// ScaleUp when the wait is over.
+func (r *Rank) p2pScaleDown(pending *simtime.Future) bool {
 	cfg := &r.world.cfg
 	if !cfg.PowerAwareP2P || pending.IsDone() || r.core.FreqGHz() < cfg.Power.FMaxGHz {
-		return nopRestore
+		return false
 	}
 	r.SetFreq(cfg.Power.FMinGHz)
-	return func() { r.SetFreq(r.world.cfg.Power.FMaxGHz) }
+	return true
 }
-
-// nopRestore is the shared no-op restore for waits that did not scale
-// down; a fresh empty closure per wait would still allocate.
-var nopRestore = func() {}
 
 // Idle parks the rank for d of virtual time with the core idle — used by
 // workload skeletons for I/O or imbalance gaps, not by collectives.

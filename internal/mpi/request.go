@@ -60,11 +60,14 @@ func (w *World) getReq(r *Rank) *Request {
 	return &Request{r: r}
 }
 
-// putReq recycles a request. Only the blocking wrappers call it — they
-// create the request, complete it, and never let the handle escape, so
-// the release point is provably the last reference. Requests returned
-// to callers through the nonblocking API are never recycled (the caller
-// owns the handle); failed requests are kept alive by their error path.
+// putReq recycles a request. Its one caller is reapReq, which the
+// blocking wrappers (Send, Recv, SendRecv and their Comm forms) and
+// Comm.Exchange — the step every collective, Barrier included, runs
+// through — call once the request has completed; none of them lets the
+// handle escape, so the release point is provably the last reference.
+// Requests returned to callers through the nonblocking API are never
+// recycled (the caller owns the handle); failed requests are kept alive
+// by their error path.
 func (w *World) putReq(q *Request) {
 	*q = Request{}
 	w.freeReqs = append(w.freeReqs, q)

@@ -116,8 +116,11 @@ type link struct {
 	ord int32
 	// obsActive/obsSince track busy intervals (≥1 flow on the link) for
 	// the observability bus; only maintained while a bus is attached.
-	obsActive int
-	obsSince  simtime.Time
+	// busyMetric is the link's busy-time duration name, built the first
+	// time an interval closes.
+	obsActive  int
+	obsSince   simtime.Time
+	busyMetric string
 }
 
 // linkFlow is one link's record of a crossing flow: the flow plus the
@@ -138,7 +141,10 @@ func newLink(name string, cap float64) *link {
 // allocation-light.
 const maxPathLinks = 4
 
-// Flow is one in-flight transfer.
+// Flow is one in-flight transfer. A flow started by Transfer is pooled:
+// no caller ever holds it, and its fabric recycles it in the event that
+// delivers it. StartFlow hands the flow to its caller, who may keep it
+// past delivery, so such a flow is left to the GC instead.
 type Flow struct {
 	Src, Dst  int // node indices
 	Bytes     int64
@@ -158,12 +164,20 @@ type Flow struct {
 	frozen bool
 	// hpos is the flow's slot in Fabric.heap, -1 while it has none
 	// (zero rate, or the heap is stale).
-	hpos    int32
-	done    *simtime.Future
+	hpos int32
+	fab  *Fabric
+	done simtime.Future
+	// held marks a flow returned by StartFlow: its holder may read it
+	// after delivery, so it is never recycled.
+	held    bool
 	started simtime.Time
-	// obsEnd closes the flow's link-busy intervals and, when the bus
-	// records a timeline, its trace span; nil when observability is off.
-	obsEnd func()
+	// bus is the obs bus attached when the flow started (nil without
+	// one); endObs closes the flow's link-busy intervals on it and, when
+	// it records a timeline, the trace span named spanName with id
+	// spanID.
+	bus      *obs.Bus
+	spanName string
+	spanID   uint64
 }
 
 // path returns the links the flow crosses, in route order.
@@ -171,7 +185,7 @@ func (fl *Flow) path() []*link { return fl.linkv[:fl.nlinks] }
 
 // Done returns a future completed when the last byte has arrived at the
 // destination (including BaseLatency).
-func (fl *Flow) Done() *simtime.Future { return fl.done }
+func (fl *Flow) Done() *simtime.Future { return &fl.done }
 
 // StartedAt reports when the flow was injected.
 func (fl *Flow) StartedAt() simtime.Time { return fl.started }
@@ -192,6 +206,10 @@ type Fabric struct {
 	// completion sweep) re-sorts by flow id.
 	flows  []*Flow
 	nextID uint64
+	// freeFlows recycles flows released by their completion event;
+	// freeArms recycles completion-arm events once they fire.
+	freeFlows []*Flow
+	freeArms  []*armEvent
 	// gen invalidates stale completion events after a recompute.
 	gen        uint64
 	lastUpdate simtime.Time
@@ -283,13 +301,16 @@ func (f *Fabric) obsLinkStart(links []*link) {
 }
 
 // obsLinkEnd removes one flow from each link, accruing the busy interval
-// of links going 1→0 into the per-link metric.
-func (f *Fabric) obsLinkEnd(links []*link) {
+// of links going 1→0 into the per-link metric on b.
+func (f *Fabric) obsLinkEnd(b *obs.Bus, links []*link) {
 	now := f.eng.Now()
 	for _, l := range links {
 		l.obsActive--
 		if l.obsActive == 0 {
-			f.obs.AddDuration(obs.DurLinkBusyPrefix+l.name, now.Sub(l.obsSince))
+			if l.busyMetric == "" {
+				l.busyMetric = obs.DurLinkBusyPrefix + l.name
+			}
+			b.AddDuration(l.busyMetric, now.Sub(l.obsSince))
 		}
 	}
 }
@@ -368,8 +389,24 @@ func (f *Fabric) BytesMoved() int64 { return f.bytesMoved }
 
 // StartFlow injects a transfer of the given size from src to dst node.
 // src == dst uses the loopback path. A zero-byte flow completes after
-// BaseLatency. The returned flow's Done future fires on delivery.
+// BaseLatency. The returned flow's Done future fires on delivery; the
+// caller may keep the flow for as long as it likes.
 func (f *Fabric) StartFlow(src, dst int, bytes int64) *Flow {
+	fl := f.start(src, dst, bytes)
+	fl.held = true
+	return fl
+}
+
+// Transfer injects a transfer like StartFlow and schedules deliver to
+// run as an event on delivery, in the slot a callback chained on the
+// flow's Done future gets. The fabric keeps the flow and recycles it
+// when it is delivered, so a transfer allocates nothing in steady state.
+func (f *Fabric) Transfer(src, dst int, bytes int64, deliver func()) {
+	f.start(src, dst, bytes).done.Then(deliver)
+}
+
+// start injects a flow; see StartFlow.
+func (f *Fabric) start(src, dst int, bytes int64) *Flow {
 	if src < 0 || src >= f.nodes || dst < 0 || dst >= f.nodes {
 		panic(fmt.Sprintf("network: flow endpoints %d->%d outside [0,%d)", src, dst, f.nodes))
 	}
@@ -377,31 +414,20 @@ func (f *Fabric) StartFlow(src, dst int, bytes int64) *Flow {
 		panic(fmt.Sprintf("network: negative flow size %d", bytes))
 	}
 	f.nextID++
-	fl := &Flow{
-		Src:       src,
-		Dst:       dst,
-		Bytes:     bytes,
-		id:        f.nextID,
-		remaining: float64(bytes),
-		done:      simtime.NewFuture(f.eng),
-		started:   f.eng.Now(),
-		hpos:      -1,
-	}
+	fl := f.getFlow()
+	fl.Src, fl.Dst, fl.Bytes = src, dst, bytes
+	fl.id = f.nextID
+	fl.remaining = float64(bytes)
+	fl.started = f.eng.Now()
 	f.routeInto(fl)
 	if b := f.obs; b != nil {
 		b.Add(obs.CtrNetFlows, 1)
 		b.Add(obs.CtrNetFlowBytes, bytes)
 		f.obsLinkStart(fl.path())
+		fl.bus = b
 		if b.Tracing() {
-			track := obs.NetTrack(src)
-			name := obs.TransferName("flow", bytes, src, dst)
-			id := b.AsyncBegin(track, "net", name, nil)
-			fl.obsEnd = func() {
-				f.obsLinkEnd(fl.path())
-				b.AsyncEnd(track, "net", name, id)
-			}
-		} else {
-			fl.obsEnd = func() { f.obsLinkEnd(fl.path()) }
+			fl.spanName = obs.TransferName("flow", bytes, src, dst)
+			fl.spanID = b.AsyncBegin(obs.NetTrack(src), "net", fl.spanName, nil)
 		}
 	}
 	if bytes == 0 {
@@ -411,22 +437,82 @@ func (f *Fabric) StartFlow(src, dst int, bytes int64) *Flow {
 			// sleeping ones).
 			delay += f.np.wakeDelay(fl.path())
 			f.np.flowAdded(fl.path())
-			f.eng.After(delay, func() { f.np.flowRemoved(fl.path()) })
+			f.eng.FireAfter(delay, (*flowPortsIdle)(fl))
 		}
-		if fl.obsEnd != nil {
-			f.eng.After(delay, fl.obsEnd)
+		if fl.bus != nil {
+			f.eng.FireAfter(delay, (*flowObsEnd)(fl))
 		}
-		f.eng.CompleteAfter(delay, fl.done)
+		f.eng.FireAfter(delay, (*flowDone)(fl))
 		return fl
 	}
 	if f.np != nil {
 		if d := f.np.wakeDelay(fl.path()); d > 0 {
-			f.eng.After(d, func() { f.startNow(fl) })
+			f.eng.FireAfter(d, (*flowWake)(fl))
 			return fl
 		}
 	}
 	f.startNow(fl)
 	return fl
+}
+
+// getFlow returns a recycled (or new) flow owned by f, with no hop
+// position and an incomplete Done future.
+func (f *Fabric) getFlow() *Flow {
+	if n := len(f.freeFlows); n > 0 {
+		fl := f.freeFlows[n-1]
+		f.freeFlows = f.freeFlows[:n-1]
+		return fl
+	}
+	fl := &Flow{fab: f, hpos: -1}
+	fl.done.Init(f.eng)
+	return fl
+}
+
+// The events a flow schedules on itself. Each is the flow under another
+// name, so scheduling one stores the flow pointer and allocates nothing.
+type (
+	// flowDone delivers the flow: it completes Done and releases a
+	// Transfer's flow to its fabric's free list. Done's waiters and
+	// callbacks were copied into the event queue by Complete, so such a
+	// flow is unreferenced from here on.
+	flowDone Flow
+	// flowWake injects a flow whose ports have finished waking.
+	flowWake Flow
+	// flowPortsIdle releases the ports a zero-byte flow kept lit.
+	flowPortsIdle Flow
+	// flowObsEnd closes a zero-byte flow's observability intervals.
+	flowObsEnd Flow
+)
+
+func (e *flowDone) Fire() {
+	fl := (*Flow)(e)
+	fl.done.Complete()
+	if !fl.held {
+		fl.fab.putFlow(fl)
+	}
+}
+
+func (e *flowWake) Fire() { e.fab.startNow((*Flow)(e)) }
+
+func (e *flowPortsIdle) Fire() { e.fab.np.flowRemoved((*Flow)(e).path()) }
+
+func (e *flowObsEnd) Fire() { e.fab.endObs((*Flow)(e)) }
+
+// putFlow recycles a delivered flow, keeping its Done future's slice
+// capacity for the next transfer.
+func (f *Fabric) putFlow(fl *Flow) {
+	fl.done.Reset()
+	*fl = Flow{fab: f, hpos: -1, done: fl.done}
+	f.freeFlows = append(f.freeFlows, fl)
+}
+
+// endObs closes the link-busy intervals a flow opened on its bus and,
+// when the bus records a timeline, the flow's trace span.
+func (f *Fabric) endObs(fl *Flow) {
+	f.obsLinkEnd(fl.bus, fl.path())
+	if fl.spanName != "" {
+		fl.bus.AsyncEnd(obs.NetTrack(fl.Src), "net", fl.spanName, fl.spanID)
+	}
 }
 
 // startNow injects a routed flow into the active set and re-solves the
@@ -728,8 +814,29 @@ func (f *Fabric) armNext() {
 		// has failed.
 		return
 	}
-	gen := f.gen
-	f.eng.After(next, func() { f.onCompletion(gen) })
+	var a *armEvent
+	if n := len(f.freeArms); n > 0 {
+		a = f.freeArms[n-1]
+		f.freeArms = f.freeArms[:n-1]
+	} else {
+		a = &armEvent{f: f}
+	}
+	a.gen = f.gen
+	f.eng.FireAfter(next, a)
+}
+
+// armEvent is one armed completion check, stamped with the gen it was
+// armed under. It returns to its fabric's free list when it fires, so
+// arming allocates nothing in steady state.
+type armEvent struct {
+	f   *Fabric
+	gen uint64
+}
+
+func (a *armEvent) Fire() {
+	f, gen := a.f, a.gen
+	f.freeArms = append(f.freeArms, a)
+	f.onCompletion(gen)
 }
 
 // onCompletion fires when the earliest flow should have drained. Stale
@@ -767,12 +874,12 @@ func (f *Fabric) onCompletion(gen uint64) {
 		if f.np != nil {
 			f.np.flowRemoved(fl.path())
 		}
-		if fl.obsEnd != nil {
+		if fl.bus != nil {
 			// The links are free now; the span closes with them
 			// (BaseLatency is propagation, not occupancy).
-			fl.obsEnd()
+			f.endObs(fl)
 		}
-		f.eng.CompleteAfter(f.cfg.BaseLatency, fl.done)
+		f.eng.FireAfter(f.cfg.BaseLatency, (*flowDone)(fl))
 	}
 	// Only the departed flows' component(s) can see rate changes; the
 	// vacated links seed the walk.

@@ -3,15 +3,21 @@ package simtime
 import "fmt"
 
 // event is one scheduled action: a plain callback (fn), a process
-// wakeup (proc), or a future completion (fut). Keeping wakeups and
-// completions as raw pointers instead of closures means the scheduler's
-// dominant event kinds — park/resume traffic from Sleep, Cond, Future
-// and Kill, and delivery completions from the network — allocate
-// nothing per event.
+// wakeup (proc), or a handler (h). Keeping wakeups and handlers as raw
+// values instead of closures means the scheduler's dominant event kinds —
+// park/resume traffic from Sleep, Cond, Future and Kill, and flow
+// completions from the network — allocate nothing per event.
 type event struct {
 	fn   func()
 	proc *Proc
-	fut  *Future
+	h    Handler
+}
+
+// Handler is an event target scheduled by value: the engine calls Fire
+// when the event's instant comes. A pooled object that implements
+// Handler schedules itself without building a closure per event.
+type Handler interface {
+	Fire()
 }
 
 // bucket holds every event scheduled for one instant, in scheduling
@@ -128,15 +134,15 @@ func (e *Engine) wakeAt(t Time, p *Proc) {
 	e.schedule(t, event{proc: p})
 }
 
-// CompleteAfter schedules f.Complete() to run as an event d from now
-// (negative d means "now") without allocating a closure. It is the
-// bulk-delivery path: a fabric completing thousands of transfers
-// schedules plain values, not funcs.
-func (e *Engine) CompleteAfter(d Duration, f *Future) {
+// FireAfter schedules h.Fire() to run as an event d from now (negative
+// d means "now") without allocating a closure. It is the bulk-delivery
+// path: a fabric completing thousands of transfers schedules its pooled
+// flows, not funcs.
+func (e *Engine) FireAfter(d Duration, h Handler) {
 	if d < 0 {
 		d = 0
 	}
-	e.schedule(e.now.Add(d), event{fut: f})
+	e.schedule(e.now.Add(d), event{h: h})
 }
 
 // wakeAllAt schedules a wakeup for every process in ps at instant t, in
@@ -403,8 +409,8 @@ func (e *Engine) Run(limit Time) (int, error) {
 		switch {
 		case ev.proc != nil:
 			e.runProc(ev.proc)
-		case ev.fut != nil:
-			ev.fut.Complete()
+		case ev.h != nil:
+			ev.h.Fire()
 		default:
 			ev.fn()
 		}

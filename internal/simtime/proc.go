@@ -211,15 +211,32 @@ func (c *Cond) Waiters() int { return len(c.waiters) }
 // one Complete call releases them all (and all future waiters return
 // immediately). Event-context code can chain work with Then.
 type Future struct {
-	eng       *Engine
-	done      bool
-	at        Time
+	eng  *Engine
+	done bool
+	at   Time
+	// waiter and cb hold the first waiter and the first callback inline,
+	// so the common future — one waiter, one callback — allocates
+	// nothing; later ones queue behind them in cond and callbacks. While
+	// waiter (cb) is nil, cond (callbacks) is empty.
+	waiter    *Proc
 	cond      Cond
+	cb        func()
 	callbacks []func()
 }
 
 // NewFuture returns an incomplete future bound to engine e.
-func NewFuture(e *Engine) *Future { return &Future{eng: e, cond: Cond{eng: e}} }
+func NewFuture(e *Engine) *Future {
+	f := new(Future)
+	f.Init(e)
+	return f
+}
+
+// Init binds a zero Future — typically one embedded in a larger pooled
+// object — to engine e, leaving it incomplete.
+func (f *Future) Init(e *Engine) {
+	f.eng = e
+	f.cond.eng = e
+}
 
 // GetFuture returns a recycled (or fresh) incomplete future. It is the
 // pooled counterpart of NewFuture for high-churn protocol paths; pair it
@@ -239,13 +256,23 @@ func (e *Engine) GetFuture() *Future {
 // completed future with no parked waiters is eligible; anything else
 // panics, because it means the caller's liveness proof is wrong.
 func (e *Engine) PutFuture(f *Future) {
-	if !f.done || len(f.cond.waiters) != 0 {
+	if !f.done {
 		panic("simtime: PutFuture on a live future")
+	}
+	f.Reset()
+	e.freeFuts = append(e.freeFuts, f)
+}
+
+// Reset returns f to the incomplete state for reuse by the owner of a
+// pooled object that embeds it. The waiter and callback queues keep
+// their capacity. A future with a parked waiter or a pending callback is
+// still live, and resetting it panics.
+func (f *Future) Reset() {
+	if f.waiter != nil || f.cb != nil {
+		panic("simtime: Reset of a live future")
 	}
 	f.done = false
 	f.at = 0
-	f.callbacks = nil
-	e.freeFuts = append(e.freeFuts, f)
 }
 
 // Complete marks the future done at the current virtual time and wakes all
@@ -257,23 +284,38 @@ func (f *Future) Complete() {
 	}
 	f.done = true
 	f.at = f.eng.now
-	f.cond.Broadcast()
-	cbs := f.callbacks
-	f.callbacks = nil
-	for _, cb := range cbs {
-		fn := cb
+	// Waiters wake in arrival order, then callbacks run in chaining
+	// order: the inline first of each, then the queued rest.
+	if p := f.waiter; p != nil {
+		f.waiter = nil
+		f.eng.wakeAt(f.eng.now, p)
+		f.cond.Broadcast()
+	}
+	if fn := f.cb; fn != nil {
+		f.cb = nil
 		f.eng.At(f.eng.now, fn)
+		// Scheduling runs no callback, so nothing can append to the
+		// slice while it is drained; truncating in place keeps its
+		// capacity.
+		for _, fn := range f.callbacks {
+			f.eng.At(f.eng.now, fn)
+		}
+		clear(f.callbacks)
+		f.callbacks = f.callbacks[:0]
 	}
 }
 
 // Then schedules fn to run (as an event) when the future completes; if it
 // already has, fn is scheduled at the current time.
 func (f *Future) Then(fn func()) {
-	if f.done {
+	switch {
+	case f.done:
 		f.eng.At(f.eng.now, fn)
-		return
+	case f.cb == nil:
+		f.cb = fn
+	default:
+		f.callbacks = append(f.callbacks, fn)
 	}
-	f.callbacks = append(f.callbacks, fn)
 }
 
 // IsDone reports whether Complete has been called.
@@ -285,8 +327,12 @@ func (f *Future) CompletedAt() Time { return f.at }
 // Await blocks p until the future completes; returns immediately if it
 // already has.
 func (f *Future) Await(p *Proc, reason string) {
-	if f.done {
-		return
+	switch {
+	case f.done:
+	case f.waiter == nil:
+		f.waiter = p
+		p.yield(reason)
+	default:
+		f.cond.Wait(p, reason)
 	}
-	f.cond.Wait(p, reason)
 }
