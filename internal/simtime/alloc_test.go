@@ -92,6 +92,48 @@ func TestBroadcastBatchAllocFree(t *testing.T) {
 	}
 }
 
+// TestFutureRecycleAllocFree: a future recycled through GetFuture and
+// PutFuture keeps its waiter and callback capacity, so a round with two
+// waiters and two callbacks — the first of each held inline, the second
+// queued — allocates nothing once warm.
+func TestFutureRecycleAllocFree(t *testing.T) {
+	e := NewEngine()
+	var cur *Future
+	fn := func() {}
+	e.Spawn("leader", func(p *Proc) {
+		for {
+			f := e.GetFuture()
+			cur = f
+			f.Then(fn)
+			f.Then(fn)
+			p.Sleep(5)
+			f.Complete()
+			p.Sleep(1)
+			e.PutFuture(f)
+		}
+	})
+	for i := 0; i < 2; i++ {
+		e.Spawn("waiter", func(p *Proc) {
+			for {
+				p.Sleep(2)
+				cur.Await(p, "round")
+			}
+		})
+	}
+	var limit Time
+	cycle := func() {
+		limit += 60
+		if _, err := e.Run(limit); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle()
+	allocs := testing.AllocsPerRun(10, cycle)
+	if allocs != 0 {
+		t.Fatalf("recycled-future rounds allocated %.1f times, want 0", allocs)
+	}
+}
+
 // TestSpawnFirstRunAllocs pins what starting a process costs: the Proc
 // and the coroutine iter.Pull builds for it at its first run (closures
 // and captured state, measured at 13 with go1.24.0). A rank world pays

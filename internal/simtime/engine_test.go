@@ -3,6 +3,7 @@ package simtime
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -257,6 +258,67 @@ func TestFuture(t *testing.T) {
 		t.Fatalf("late waiter woke at %v", sawDone[2])
 	}
 }
+
+// TestFutureWakeAndCallbackOrder: Complete wakes waiters in arrival
+// order and then runs callbacks in chaining order, the first of each
+// (held inline) before the queued rest.
+func TestFutureWakeAndCallbackOrder(t *testing.T) {
+	e := NewEngine()
+	f := NewFuture(e)
+	var order []string
+	for i := 0; i < 3; i++ {
+		name := fmt.Sprintf("w%d", i)
+		e.Spawn(name, func(p *Proc) {
+			f.Await(p, "future")
+			order = append(order, name)
+		})
+	}
+	for i := 0; i < 3; i++ {
+		name := fmt.Sprintf("cb%d", i)
+		f.Then(func() { order = append(order, name) })
+	}
+	e.At(5, f.Complete)
+	if _, err := e.Run(Infinity); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(order, " "), "w0 w1 w2 cb0 cb1 cb2"; got != want {
+		t.Fatalf("order %q, want %q", got, want)
+	}
+}
+
+// TestFutureResetLivePanics: resetting a future that still has a parked
+// waiter or a pending callback would strand them, so it panics.
+func TestFutureResetLivePanics(t *testing.T) {
+	e := NewEngine()
+	f := NewFuture(e)
+	f.Then(func() {})
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic on Reset of a future with a pending callback")
+		}
+	}()
+	f.Reset()
+}
+
+// TestFireAfterOrder: a handler event keeps its scheduling slot among
+// plain callbacks at the same instant.
+func TestFireAfterOrder(t *testing.T) {
+	e := NewEngine()
+	var order []string
+	e.After(3, func() { order = append(order, "a") })
+	e.FireAfter(3, recordHandler{&order})
+	e.After(3, func() { order = append(order, "b") })
+	if _, err := e.Run(Infinity); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(order, " "); got != "a h b" {
+		t.Fatalf("order %q, want %q", got, "a h b")
+	}
+}
+
+type recordHandler struct{ order *[]string }
+
+func (h recordHandler) Fire() { *h.order = append(*h.order, "h") }
 
 func TestFutureDoubleCompletePanics(t *testing.T) {
 	e := NewEngine()
