@@ -15,6 +15,8 @@ import (
 	"testing"
 
 	"pacc"
+	"pacc/internal/experiments"
+	"pacc/internal/fault/chaos"
 	"pacc/internal/simtime"
 	"pacc/internal/sweep"
 )
@@ -262,4 +264,57 @@ func TestSweepPayloadGolden(t *testing.T) {
 		got[name] = digests[i]
 	}
 	checkGolden(t, path, want, got)
+}
+
+// TestChaosGolden pins every chaos.Run outcome for seeds 0-999, plain and
+// with corruption (testdata/chaos_golden.txt): one SHA-256 per seed over
+// the metrics and trace exports, the elapsed time, the final group, the
+// agreed sum and the typed error. The crash schedules drive every
+// failure-aware wait, detection and revocation path, so a change to when
+// or in what order a failed wait wakes fails here.
+func TestChaosGolden(t *testing.T) {
+	const path = "testdata/chaos_golden.txt"
+	want := readGolden(t, path)
+	got := map[string]string{}
+	for _, corrupt := range []bool{false, true} {
+		kind := "plain"
+		if corrupt {
+			kind = "corrupt"
+		}
+		for seed := uint64(0); seed < 1000; seed++ {
+			h := sha256.New()
+			res, err := chaos.Run(chaos.Options{Seed: seed, Corrupt: corrupt})
+			if err != nil {
+				fmt.Fprintf(h, "run error: %v\n", err)
+			} else {
+				h.Write(res.Metrics)
+				h.Write(res.Trace)
+				fmt.Fprintf(h, "\nelapsed %d\ngroup %v\nsum %v\nerr %v\n",
+					res.Elapsed, res.FinalGroup, res.Sum, res.Err)
+			}
+			got[fmt.Sprintf("%s/%d", kind, seed)] = hex.EncodeToString(h.Sum(nil))
+		}
+	}
+	checkGolden(t, path, want, got)
+}
+
+// TestNetPowerGolden pins the rendered ext-netpower experiment at a small
+// scale (testdata/netpower_golden.txt): it is the one output that runs
+// the link sleep timers.
+func TestNetPowerGolden(t *testing.T) {
+	const path = "testdata/netpower_golden.txt"
+	spec, ok := experiments.Lookup("ext-netpower")
+	if !ok {
+		t.Fatal("ext-netpower not registered")
+	}
+	res, err := spec.Run(experiments.Options{Scale: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	res.Render(&buf)
+	sum := sha256.Sum256(buf.Bytes())
+	checkGolden(t, path, readGolden(t, path), map[string]string{
+		"ext-netpower/scale0.05": hex.EncodeToString(sum[:]),
+	})
 }
