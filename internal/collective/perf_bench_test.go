@@ -27,7 +27,7 @@ import (
 // deterministic, so the margin only absorbs runtime and compiler drift.
 // Never regenerate them on a branch whose performance is being gated.
 const (
-	hotPathMaxAllocs         = 38350
+	hotPathMaxAllocs         = 7800
 	hotPathMinEventsPerSec   = 400_000
 	scale4096MinEventsPerSec = 40_000
 )

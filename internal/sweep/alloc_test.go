@@ -19,9 +19,9 @@ var simulateAllocBudget = []struct {
 	req       Request
 	maxAllocs float64
 }{
-	{Request{Op: "allreduce", Procs: 16, PPN: 8, Bytes: 64 << 10, Mode: "proposed"}, 2620},
-	{Request{Op: "alltoall", Procs: 16, PPN: 8, Bytes: 4 << 10, Mode: "no-power"}, 2220},
-	{Request{Op: "bcast", Procs: 16, PPN: 8, Bytes: 1 << 20, Mode: "freq-scaling"}, 1930},
+	{Request{Op: "allreduce", Procs: 16, PPN: 8, Bytes: 64 << 10, Mode: "proposed"}, 2200},
+	{Request{Op: "alltoall", Procs: 16, PPN: 8, Bytes: 4 << 10, Mode: "no-power"}, 990},
+	{Request{Op: "bcast", Procs: 16, PPN: 8, Bytes: 1 << 20, Mode: "freq-scaling"}, 1550},
 }
 
 // TestSimulateAllocBudget holds each canonical request to its allocation
