@@ -5,6 +5,7 @@ package simtime
 import (
 	"fmt"
 	"iter"
+	"slices"
 )
 
 // Proc is a cooperative simulated process: a runtime coroutine (the one
@@ -303,6 +304,30 @@ func (f *Future) Complete() {
 		clear(f.callbacks)
 		f.callbacks = f.callbacks[:0]
 	}
+}
+
+// Release takes p off the future's waiters and wakes it at the current
+// time without completing the future, reporting whether p was parked
+// here. It abandons one process's wait on an operation that will not
+// complete for it — a wait whose peer has failed — while the future's
+// other waiters keep waiting.
+func (f *Future) Release(p *Proc) bool {
+	ws := f.cond.waiters
+	switch {
+	case p == nil || p != f.waiter:
+		i := slices.Index(ws, p)
+		if i < 0 {
+			return false
+		}
+		f.cond.waiters = slices.Delete(ws, i, i+1)
+	case len(ws) > 0:
+		f.waiter = ws[0]
+		f.cond.waiters = slices.Delete(ws, 0, 1)
+	default:
+		f.waiter = nil
+	}
+	f.eng.wakeAt(f.eng.now, p)
+	return true
 }
 
 // Then schedules fn to run (as an event) when the future completes; if it

@@ -179,3 +179,40 @@ func TestProcLifecycle(t *testing.T) {
 		})
 	}
 }
+
+// TestFutureRelease checks that Release wakes one parked process at the
+// current instant without completing the future, whether the process
+// parked first or behind another, and that the remaining waiters still
+// wake on completion.
+func TestFutureRelease(t *testing.T) {
+	e := NewEngine()
+	f := NewFuture(e)
+	woke := map[string]Time{}
+	procs := map[string]*Proc{}
+	for _, name := range []string{"a", "b", "c"} {
+		procs[name] = e.Spawn(name, func(p *Proc) {
+			f.Await(p, "op")
+			woke[p.Name()] = p.Now()
+		})
+	}
+	e.At(10, func() {
+		if !f.Release(procs["a"]) || !f.Release(procs["c"]) {
+			t.Error("Release missed a parked process")
+		}
+		if f.Release(procs["a"]) {
+			t.Error("Release of a process no longer parked reported true")
+		}
+	})
+	e.At(20, func() {
+		if f.IsDone() {
+			t.Error("Release completed the future")
+		}
+		f.Complete()
+	})
+	if _, err := e.Run(Infinity); err != nil {
+		t.Fatal(err)
+	}
+	if woke["a"] != 10 || woke["c"] != 10 || woke["b"] != 20 {
+		t.Fatalf("wake instants %v, want a and c at 10, b at 20", woke)
+	}
+}
