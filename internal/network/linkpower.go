@@ -86,6 +86,8 @@ type netPower struct {
 	cfg   LinkPowerConfig
 	state map[*link]*linkPowerState
 	ports []*link
+	// freeTimers recycles sleep timers once they fire.
+	freeTimers []*sleepTimer
 }
 
 func newNetPower(eng *simtime.Engine, cfg LinkPowerConfig, ports []*link) *netPower {
@@ -106,14 +108,35 @@ func (np *netPower) armSleep(st *linkPowerState) {
 	if np.cfg.SleepAfter <= 0 {
 		return
 	}
-	gen := st.sleepGen
-	np.eng.After(np.cfg.SleepAfter, func() {
-		if st.sleepGen != gen || st.flows > 0 || st.asleep {
-			return
-		}
-		np.accrue(st)
-		st.asleep = true
-	})
+	var t *sleepTimer
+	if n := len(np.freeTimers); n > 0 {
+		t = np.freeTimers[n-1]
+		np.freeTimers = np.freeTimers[:n-1]
+	} else {
+		t = &sleepTimer{np: np}
+	}
+	t.st, t.gen = st, st.sleepGen
+	np.eng.FireAfter(np.cfg.SleepAfter, t)
+}
+
+// sleepTimer is one armed idle timeout, stamped with the port's sleepGen
+// when it was armed. It returns to its tracker's free list when it fires,
+// so a port going idle allocates nothing in steady state.
+type sleepTimer struct {
+	np  *netPower
+	st  *linkPowerState
+	gen uint64
+}
+
+func (t *sleepTimer) Fire() {
+	np, st, gen := t.np, t.st, t.gen
+	t.st = nil
+	np.freeTimers = append(np.freeTimers, t)
+	if st.sleepGen != gen || st.flows > 0 || st.asleep {
+		return
+	}
+	np.accrue(st)
+	st.asleep = true
 }
 
 func (np *netPower) wattsOf(st *linkPowerState) float64 {
