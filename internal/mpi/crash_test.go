@@ -231,3 +231,192 @@ func TestShrinkMembership(t *testing.T) {
 		}
 	}
 }
+
+// pingPongUntilFailure runs rank 0 and peer in an endless SendRecv loop
+// over the world communicator; rank 0 stops at its first failure.
+func pingPongUntilFailure(w *World, peer int, bytes int64) *error {
+	var failure error
+	w.Launch(func(r *Rank) {
+		other := -1
+		switch r.ID() {
+		case 0:
+			other = peer
+		case peer:
+			other = 0
+		}
+		if other < 0 {
+			return
+		}
+		c := CommWorld(r)
+		for tag := 0; ; tag++ {
+			if err := c.SendRecv(other, bytes, other, bytes, tag); err != nil {
+				if r.ID() == 0 {
+					failure = err
+				}
+				return
+			}
+		}
+	})
+	return &failure
+}
+
+// The detection instant must cost the same whatever ran before it: a
+// partner that dies after ten times as many rounds releases its waiting
+// partner with the same number of events, because finished waits leave
+// nothing behind for the detector to fire.
+func TestFailureWaitDetectionCostFlat(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		peer int
+	}{{"shm", 1}, {"net", 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var counts []int
+			for _, crashAt := range []simtime.Duration{simtime.Millisecond, 10 * simtime.Millisecond} {
+				cfg := crashConfig(fault.Crash{Rank: tc.peer, At: crashAt})
+				w := mustWorld(t, cfg)
+				failure := pingPongUntilFailure(w, tc.peer, 1<<10)
+				detectAt := simtime.Time(0).Add(crashAt).Add(cfg.Fault.Detect())
+				if _, err := w.Engine().Run(detectAt - 1); err != nil {
+					t.Fatal(err)
+				}
+				n, err := w.Engine().Run(detectAt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !IsFailure(*failure) {
+					t.Fatalf("crash at %v: rank 0 not released at %v (got %v)", crashAt, detectAt, *failure)
+				}
+				counts = append(counts, n)
+			}
+			if counts[0] != counts[1] {
+				t.Fatalf("detection instant ran %d events after a 1 ms run and %d after a 10 ms run",
+					counts[0], counts[1])
+			}
+		})
+	}
+}
+
+// A wait that begins after the failure was detected fails at once, at
+// the instant it began.
+func TestFailureWaitAfterDetection(t *testing.T) {
+	cfg := crashConfig(fault.Crash{Rank: 1, At: 10 * simtime.Microsecond})
+	w := mustWorld(t, cfg)
+	var err error
+	var began, ended simtime.Time
+	w.Launch(func(r *Rank) {
+		if r.ID() != 0 {
+			return
+		}
+		r.Compute(10*simtime.Microsecond + 2*cfg.Fault.Detect())
+		began = r.Now()
+		err = CommWorld(r).Recv(1, 4096, 7)
+		ended = r.Now()
+	})
+	if _, runErr := w.Run(); runErr != nil {
+		t.Fatal(runErr)
+	}
+	var pf *PeerFailedError
+	if !errors.As(err, &pf) || pf.Peer != 1 {
+		t.Fatalf("late recv returned %v, want PeerFailedError{Peer: 1}", err)
+	}
+	if ended != began {
+		t.Fatalf("late recv began at %v and failed at %v, want the same instant", began, ended)
+	}
+}
+
+// An operation that completes at the very instant its peer's failure is
+// detected succeeds: the completed operation wins.
+func TestFailureWaitCompletionBeatsDetection(t *testing.T) {
+	// A healthy twin times the eager message: when the sender is done
+	// with it and when it lands at the receiver.
+	var sent, landed simtime.Time
+	body := func(r *Rank) {
+		switch r.ID() {
+		case 0:
+			if err := r.Recv(2, 1024, 7); err != nil {
+				t.Error(err)
+			}
+			landed = r.Now()
+		case 2:
+			if err := r.Send(0, 1024, 7); err != nil {
+				t.Error(err)
+			}
+			sent = r.Now()
+			r.Compute(time999(t))
+		}
+	}
+	twin := mustWorld(t, testConfig())
+	twin.Launch(body)
+	if _, err := twin.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if landed <= sent+1 {
+		t.Fatalf("message landed at %v, sender done at %v: no room for a crash in flight", landed, sent)
+	}
+	// The sender dies while its message is in flight, with the detection
+	// timeout chosen so the failure is detected exactly as it lands.
+	crashAt := simtime.Duration(sent + (landed-sent)/2)
+	cfg := crashConfig(fault.Crash{Rank: 2, At: crashAt})
+	cfg.Fault.DetectTimeout = simtime.Duration(landed) - crashAt
+	w := mustWorld(t, cfg)
+	var recvErr error
+	var at simtime.Time
+	w.Launch(func(r *Rank) {
+		switch r.ID() {
+		case 0:
+			recvErr = r.Recv(2, 1024, 7)
+			at = r.Now()
+		case 2:
+			body(r)
+		}
+	})
+	if _, err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if recvErr != nil || at != landed {
+		t.Fatalf("recv returned %v at %v, want success at %v", recvErr, at, landed)
+	}
+	if dead := w.DeadRanks(); len(dead) != 1 || dead[0] != 2 {
+		t.Fatalf("DeadRanks() = %v, want [2]", dead)
+	}
+}
+
+// Revoking a communicator releases a wait parked on it at the revoke
+// instant, and a wait on the same communicator that begins afterwards
+// fails at once.
+func TestFailureWaitRevokeReleasesAndFailsLater(t *testing.T) {
+	// The late crash only arms the failure machinery.
+	cfg := crashConfig(fault.Crash{Rank: 3, At: simtime.Second})
+	w := mustWorld(t, cfg)
+	revokeAt := simtime.Time(0).Add(30 * simtime.Microsecond)
+	var errs [2]error
+	var at [2]simtime.Time
+	w.Launch(func(r *Rank) {
+		c := CommWorld(r)
+		switch r.ID() {
+		case 0:
+			// Rank 1 never sends: only the revoke ends these waits.
+			first := c.Irecv(1, 4096, 1)
+			second := c.Irecv(1, 4096, 2)
+			first.Wait()
+			errs[0], at[0] = first.Err(), r.Now()
+			second.Wait()
+			errs[1], at[1] = second.Err(), r.Now()
+		case 1:
+			r.Compute(simtime.Duration(revokeAt))
+			c.Revoke()
+		}
+	})
+	if _, err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, err := range errs {
+		var rev *CommRevokedError
+		if !errors.As(err, &rev) {
+			t.Fatalf("wait %d returned %v, want CommRevokedError", i, err)
+		}
+		if at[i] != revokeAt {
+			t.Fatalf("wait %d failed at %v, want the revoke instant %v", i, at[i], revokeAt)
+		}
+	}
+}

@@ -31,59 +31,60 @@ import (
 // send requeues until the fault window closes, the simulator's analogue
 // of IB path migration through the send queue.
 func (w *World) netFlow(class fault.MsgClass, src, dst int, wire int64, seq uint64, deliver func()) {
-	srcNode, dstNode := w.place.NodeOf(src), w.place.NodeOf(dst)
+	if !w.inj.Enabled() {
+		w.fabric.Transfer(w.place.NodeOf(src), w.place.NodeOf(dst), wire, deliver)
+		return
+	}
+	w.attemptFlow(class, src, dst, wire, seq, deliver, 0)
+}
+
+// attemptFlow makes attempt n of a message under an active injector. A
+// clean attempt is one fabric Transfer; only requeues and retransmits
+// build closures.
+func (w *World) attemptFlow(class fault.MsgClass, src, dst int, wire int64, seq uint64, deliver func(), n int) {
 	in := w.inj
-	if !in.Enabled() {
+	srcNode, dstNode := w.place.NodeOf(src), w.place.NodeOf(dst)
+	if until, down := w.fabric.PathDownUntil(srcNode, dstNode); down {
+		// Availability loss, not packet loss: reroute through the send
+		// queue until the link is back, budget untouched.
+		w.obs.Add(obs.CtrFaultMsgRequeues, 1)
+		w.eng.At(until, func() { w.attemptFlow(class, src, dst, wire, seq, deliver, n) })
+		return
+	}
+	// Drop and Corrupt are pure hashes of the attempt, so deciding before
+	// the flow starts changes nothing.
+	dropped := in.Drop(class, src, dst, seq, n)
+	corrupted := false
+	if !dropped {
+		corrupted = in.Corrupt(class, src, dst, seq, n, w.tstateDepth(src))
+	}
+	if !dropped && !corrupted {
 		w.fabric.Transfer(srcNode, dstNode, wire, deliver)
 		return
 	}
-	budget := in.RetryBudget()
-	var attempt func(n int)
-	attempt = func(n int) {
-		if until, down := w.fabric.PathDownUntil(srcNode, dstNode); down {
-			// Availability loss, not packet loss: reroute through the
-			// send queue until the link is back, budget untouched.
-			w.obs.Add(obs.CtrFaultMsgRequeues, 1)
-			w.eng.At(until, func() { attempt(n) })
-			return
-		}
-		// Drop and Corrupt are pure hashes of the attempt, so deciding
-		// before the flow starts changes nothing.
-		dropped := in.Drop(class, src, dst, seq, n)
-		corrupted := false
-		if !dropped {
-			corrupted = in.Corrupt(class, src, dst, seq, n, w.tstateDepth(src))
-		}
-		if !dropped && !corrupted {
-			w.fabric.Transfer(srcNode, dstNode, wire, deliver)
-			return
-		}
-		if dropped {
-			// The attempt occupied the wire but its completion (or ack)
-			// was lost; the sender notices after the backoff and
-			// retransmits.
-			w.obs.Add(obs.CtrFaultMsgDrops, 1)
-		}
-		w.fabric.Transfer(srcNode, dstNode, wire, func() {
-			if corrupted {
-				// Delivered on schedule, but the ICRC check rejects the
-				// payload and NACKs the sender.
-				w.obs.Add(obs.CtrFaultMsgCorruptions, 1)
-				w.obs.Add(obs.CtrFaultMsgNacks, 1)
-			}
-			if n+1 >= budget {
-				w.obs.Add(obs.CtrFaultRetriesExhausted, 1)
-				w.retriesExhausted = append(w.retriesExhausted, &IntegrityError{
-					Class: class, Src: src, Dst: dst, Seq: seq,
-					Attempts: n + 1, Corrupted: corrupted,
-				})
-				return
-			}
-			w.obs.Add(obs.CtrFaultMsgRetransmits, 1)
-			w.eng.After(in.Backoff(n), func() { attempt(n + 1) })
-		})
+	if dropped {
+		// The attempt occupied the wire but its completion (or ack) was
+		// lost; the sender notices after the backoff and retransmits.
+		w.obs.Add(obs.CtrFaultMsgDrops, 1)
 	}
-	attempt(0)
+	w.fabric.Transfer(srcNode, dstNode, wire, func() {
+		if corrupted {
+			// Delivered on schedule, but the ICRC check rejects the
+			// payload and NACKs the sender.
+			w.obs.Add(obs.CtrFaultMsgCorruptions, 1)
+			w.obs.Add(obs.CtrFaultMsgNacks, 1)
+		}
+		if n+1 >= in.RetryBudget() {
+			w.obs.Add(obs.CtrFaultRetriesExhausted, 1)
+			w.retriesExhausted = append(w.retriesExhausted, &IntegrityError{
+				Class: class, Src: src, Dst: dst, Seq: seq,
+				Attempts: n + 1, Corrupted: corrupted,
+			})
+			return
+		}
+		w.obs.Add(obs.CtrFaultMsgRetransmits, 1)
+		w.eng.After(in.Backoff(n), func() { w.attemptFlow(class, src, dst, wire, seq, deliver, n+1) })
+	})
 }
 
 // wireKey addresses one (sender, receiver, tag) lane of the wire board.

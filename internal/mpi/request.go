@@ -23,8 +23,8 @@ const (
 type Request struct {
 	r *Rank
 	// comm, when the operation was issued through a communicator, lets
-	// the failure-aware wait watch that communicator's revocation signal
-	// alongside the peer's failure signal.
+	// that communicator's revocation fail the wait, as the peer's
+	// detected death does.
 	comm *Comm
 	kind reqKind
 	// peer is the global rank on the other end; bytes the posted size.

@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"fmt"
-	"sort"
 
 	"pacc/internal/obs"
 	"pacc/internal/simtime"
@@ -134,39 +133,8 @@ func (c *Comm) AgreeFailures() []int {
 // congruently by all members (SPMD) and shares the per-communicator
 // agreement sequence with AgreeFailures.
 func (c *Comm) AgreeRound(bad bool) (failed []int, anyBad bool) {
-	r := c.r
-	w := r.world
-	w.ftRequire()
-	key := agreeKey{comm: c.id, seq: c.agreeSeq}
-	c.agreeSeq++
-	st := w.ft.agree[key]
-	if st == nil {
-		st = &agreeState{
-			group:  append([]int(nil), c.group...),
-			joined: map[int]bool{},
-			done:   simtime.NewFuture(w.eng),
-		}
-		w.ft.agree[key] = st
-		w.ft.agreeOrder = append(w.ft.agreeOrder, key)
-	}
-	// Joining costs one control-message initiation.
-	r.busySleep(w.cfg.InterStartup)
-	st.joined[r.id] = true
-	if bad {
-		st.bad = true
-	}
-	if b := w.obs; b != nil {
-		b.Add(obs.CtrFaultAgreements, 1)
-	}
-	w.maybeResolveAgreement(st)
-	r.await(st.done, "ulfm agree", -1)
-	for cr, g := range c.group {
-		if st.failedSet[g] {
-			failed = append(failed, cr)
-		}
-	}
-	sort.Ints(failed)
-	return failed, st.bad
+	st := c.agree(bad, false)
+	return c.members(st.failedSet), st.bad
 }
 
 // AgreeSuspects is a fault-tolerant census of the fail-slow suspect set:
@@ -180,6 +148,13 @@ func (c *Comm) AgreeRound(bad bool) (failed []int, anyBad bool) {
 // agreement (congruence demands every member consume the same sequence
 // number) and returns nil.
 func (c *Comm) AgreeSuspects() []int {
+	return c.members(c.agree(false, true).suspectSet)
+}
+
+// agree joins this member to the communicator's next agreement instance,
+// creating it on first entry, and blocks until the instance resolves.
+// bad is the member's vote; census marks a suspect census.
+func (c *Comm) agree(bad, census bool) *agreeState {
 	r := c.r
 	w := r.world
 	w.ftRequire()
@@ -195,22 +170,37 @@ func (c *Comm) AgreeSuspects() []int {
 		w.ft.agree[key] = st
 		w.ft.agreeOrder = append(w.ft.agreeOrder, key)
 	}
-	st.wantSuspects = w.sb != nil
+	reason, ctr := "ulfm agree", obs.CtrFaultAgreements
+	if census {
+		// Set before the join latency: a crash meanwhile may resolve
+		// the instance, and the census must still be taken.
+		st.wantSuspects = w.sb != nil
+		reason, ctr = "suspect census", obs.CtrFaultSuspectCensuses
+	}
+	// Joining costs one control-message initiation.
 	r.busySleep(w.cfg.InterStartup)
 	st.joined[r.id] = true
+	if bad {
+		st.bad = true
+	}
 	if b := w.obs; b != nil {
-		b.Add(obs.CtrFaultSuspectCensuses, 1)
+		b.Add(ctr, 1)
 	}
 	w.maybeResolveAgreement(st)
-	r.await(st.done, "suspect census", -1)
-	var suspects []int
+	r.await(st.done, reason, -1, false)
+	return st
+}
+
+// members returns, ascending, the communicator ranks whose global ranks
+// are in set.
+func (c *Comm) members(set map[int]bool) []int {
+	var out []int
 	for cr, g := range c.group {
-		if st.suspectSet[g] {
-			suspects = append(suspects, cr)
+		if set[g] {
+			out = append(out, cr)
 		}
 	}
-	sort.Ints(suspects)
-	return suspects
+	return out
 }
 
 // Revoke marks the communicator revoked: every member blocked in a message
@@ -221,11 +211,11 @@ func (c *Comm) AgreeSuspects() []int {
 func (c *Comm) Revoke() {
 	w := c.r.world
 	w.ftRequire()
-	f := w.revokeFuture(c.id)
-	if f.IsDone() {
+	if w.ft.revoked[c.id] {
 		return
 	}
-	f.Complete()
+	w.ft.revoked[c.id] = true
+	w.releaseWaits(-1, c.id)
 	if b := w.obs; b != nil {
 		b.Add(obs.CtrFaultCommRevokes, 1)
 		if b.Tracing() {
@@ -237,11 +227,7 @@ func (c *Comm) Revoke() {
 // Revoked reports whether the communicator has been revoked.
 func (c *Comm) Revoked() bool {
 	w := c.r.world
-	if w.ft == nil {
-		return false
-	}
-	f := w.ft.revoked[c.id]
-	return f != nil && f.IsDone()
+	return w.ft != nil && w.ft.revoked[c.id]
 }
 
 // Shrink builds the survivor communicator: the members of c minus the

@@ -176,7 +176,8 @@ func (f *Fabric) Degraded() bool {
 // PathDegraded reports whether the src→dst route crosses a degraded or
 // down link right now.
 func (f *Fabric) PathDegraded(src, dst int) bool {
-	for _, l := range f.route(src, dst) {
+	links, n := f.route(src, dst)
+	for _, l := range links[:n] {
 		if l.adminFactor < 1 {
 			return true
 		}
@@ -191,7 +192,8 @@ func (f *Fabric) PathDegraded(src, dst int) bool {
 func (f *Fabric) PathDownUntil(src, dst int) (simtime.Time, bool) {
 	var until simtime.Time
 	down := false
-	for _, l := range f.route(src, dst) {
+	links, n := f.route(src, dst)
+	for _, l := range links[:n] {
 		if l.adminFactor == 0 {
 			down = true
 			if l.downUntil > until {

@@ -550,15 +550,13 @@ func (f *Fabric) routeInto(fl *Flow) {
 	}
 }
 
-// route returns the links a src→dst transfer crosses (allocating; used
-// by path queries, not the flow hot path).
-func (f *Fabric) route(src, dst int) []*link {
+// route returns the links a src→dst transfer crosses, as an array and
+// the count in use, so path queries allocate nothing.
+func (f *Fabric) route(src, dst int) ([maxPathLinks]*link, int) {
 	var fl Flow
 	fl.Src, fl.Dst = src, dst
 	f.routeInto(&fl)
-	links := make([]*link, fl.nlinks)
-	copy(links, fl.path())
-	return links
+	return fl.linkv, int(fl.nlinks)
 }
 
 // addFlow registers fl in the fabric-wide and per-link flow lists.
