@@ -469,3 +469,40 @@ func TestPanicDuringResume(t *testing.T) {
 		t.Fatalf("panic value %v", pp.Value)
 	}
 }
+
+// TestInstantsMatchesMap drives the instant index through random puts and
+// deletes on clustered instants, so probe chains collide and wrap, and
+// checks every lookup against a Go map.
+func TestInstantsMatchesMap(t *testing.T) {
+	x := instants{slots: make([]*bucket, 16)}
+	ref := map[Time]*bucket{}
+	var live []Time
+	rng := uint64(1)
+	next := func(n int) int {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		return int(rng>>33) % n
+	}
+	for step := 0; step < 20000; step++ {
+		if len(live) > 0 && next(3) == 0 {
+			i := next(len(live))
+			at := live[i]
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+			x.del(at)
+			delete(ref, at)
+		} else if at := Time(next(200)); ref[at] == nil {
+			b := &bucket{at: at}
+			x.put(b)
+			ref[at] = b
+			live = append(live, at)
+		}
+		for at := Time(0); at < 200; at++ {
+			if got, want := x.get(at), ref[at]; got != want {
+				t.Fatalf("step %d: get(%d) = %v, want %v", step, at, got, want)
+			}
+		}
+	}
+	if x.n != len(ref) {
+		t.Fatalf("index holds %d instants, want %d", x.n, len(ref))
+	}
+}
