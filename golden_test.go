@@ -32,6 +32,9 @@ type goldenRun struct {
 	// timeline is folded into the bus on the first export that needs it,
 	// so varying the order covers every path that triggers the fold.
 	order []string
+	// runErr marks a run that must fail (a deadlock); its error text is
+	// pinned as one more digest, "<run>/error".
+	runErr bool
 }
 
 func goldenRuns() []goldenRun {
@@ -86,6 +89,103 @@ func goldenRuns() []goldenRun {
 			},
 			order: []string{"metrics", "report", "trace", "annotated"},
 		},
+		{
+			// Intra-node rendezvous under PowerAwareP2P: both the receiver
+			// (posted early) and the sender (waiting for the CTS) drop to
+			// fmin inside the wait and restore fmax after it.
+			name: "p2p_rendezvous_shm_poweraware",
+			cfg: func(*testing.T) pacc.Config {
+				cfg := pacc.DefaultConfig()
+				cfg.PowerAwareP2P = true
+				return cfg
+			},
+			body: func(r *pacc.Rank) {
+				switch r.ID() {
+				case 0:
+					r.Compute(40 * simtime.Microsecond)
+					r.Send(1, 256<<10, 1)
+					r.Recv(1, 64<<10, 2)
+				case 1:
+					r.Recv(0, 256<<10, 1)
+					r.Send(0, 64<<10, 2)
+				}
+			},
+			order: all,
+		},
+		{
+			// Crashes that land while ranks wait at fmin: rank 1 dies in
+			// its scaled-down receive wait, so its unwind runs the
+			// restoring transition; rank 3 dies inside the scale-down
+			// transition itself. Their senders time out on the dead peers.
+			// The extra settle time (pdelay) counts every transition begun,
+			// the one in the unwind included.
+			name: "p2p_crash_while_scaled_down",
+			cfg: func(t *testing.T) pacc.Config {
+				spec, err := pacc.ParseFaultSpec("seed=1;pdelay=3us;crash=1@60us;crash=3@5us")
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := pacc.DefaultConfig()
+				cfg.PowerAwareP2P = true
+				cfg.Fault = spec
+				return cfg
+			},
+			body: func(r *pacc.Rank) {
+				switch r.ID() {
+				case 0, 2:
+					r.Compute(100 * simtime.Microsecond)
+					r.Send(r.ID()+1, 256<<10, 1)
+				case 1, 3:
+					r.Recv(r.ID()-1, 256<<10, 1)
+				}
+			},
+			order: all,
+		},
+		{
+			// The nonblocking API: every rank posts receives and sends
+			// (eager and rendezvous, intra- and inter-node), computes,
+			// then completes them all with WaitAll.
+			name: "nonblocking_isend_irecv_waitall",
+			cfg:  func(*testing.T) pacc.Config { return pacc.DefaultConfig() },
+			body: func(r *pacc.Rank) {
+				p, me := r.World().Size(), r.ID()
+				near, far := (me+1)%p, (me+8)%p
+				fromNear, fromFar := (me-1+p)%p, (me-8+p)%p
+				reqs := []*pacc.Request{
+					r.Irecv(fromNear, 64<<10, 1),
+					r.Irecv(fromFar, 1<<10, 2),
+					r.Isend(far, 1<<10, 2),
+					r.Isend(near, 64<<10, 1),
+				}
+				r.Compute(simtime.Duration(me%5) * 3 * simtime.Microsecond)
+				pacc.WaitAll(reqs...)
+			},
+			order: []string{"trace", "report", "metrics", "annotated"},
+		},
+		{
+			// A deadlock: the report must name every blocked rank with
+			// what it waits for (match, rendezvous data, shared-memory
+			// CTS, agreement).
+			name: "deadlock_report",
+			cfg:  func(*testing.T) pacc.Config { return pacc.DefaultConfig() },
+			body: func(r *pacc.Rank) {
+				switch r.ID() {
+				case 0:
+					r.Recv(1, 1<<10, 1)
+				case 2:
+					r.Send(9, 256<<10, 1)
+				case 3:
+					r.Send(4, 256<<10, 1)
+				case 10:
+					c := pacc.CommWorld(r).Sub([]int{10, 11})
+					c.AgreeFailures()
+				default:
+					r.Compute(10 * simtime.Microsecond)
+				}
+			},
+			order:  []string{"metrics", "trace", "report", "annotated"},
+			runErr: true,
+		},
 	}
 }
 
@@ -102,7 +202,15 @@ func runGolden(t *testing.T, g goldenRun) map[string]string {
 		g.setup(sess)
 	}
 	w.Launch(g.body)
-	if _, err := w.Run(); err != nil {
+	out := map[string]string{}
+	_, err = w.Run()
+	switch {
+	case g.runErr && err == nil:
+		t.Fatalf("%s: run succeeded, want an error", g.name)
+	case g.runErr:
+		sum := sha256.Sum256([]byte(err.Error()))
+		out[g.name+"/error"] = hex.EncodeToString(sum[:])
+	case err != nil:
 		t.Fatal(err)
 	}
 	writers := map[string]func(io.Writer) error{
@@ -111,7 +219,6 @@ func runGolden(t *testing.T, g goldenRun) map[string]string {
 		"report":    sess.WriteReport,
 		"annotated": sess.WriteAnnotatedTrace,
 	}
-	out := map[string]string{}
 	for _, name := range g.order {
 		var buf bytes.Buffer
 		if err := writers[name](&buf); err != nil {
@@ -151,7 +258,8 @@ func readGolden(t *testing.T, path string) map[string]string {
 
 // TestObsExportsGolden freezes the observable output of the facade: the
 // merged trace, metrics snapshot, analytics report and annotated trace of
-// four canonical runs must hash to the digests in testdata. A refactor of
+// the canonical runs (and the error text of the one that must fail) must
+// hash to the digests in testdata. A refactor of
 // the observability or power layers that changes a single byte fails
 // here. On a deliberate output change, replace the file's digest lines
 // with the ones this test logs.
