@@ -567,7 +567,13 @@ func Soak(opt SoakOptions) (*SoakReport, error) {
 	// Healing pass: after the chaos stops, every unique key must be
 	// servable byte-identical to the baseline even where corruption
 	// landed (evict-and-recompute may run here — that's the point).
-	for i, req := range reqs[:min(len(reqs), 64)] {
+	// Each key is healed once, through its first request.
+	healed := make(map[Key]bool, len(baseline))
+	for i, req := range reqs {
+		if healed[keys[i]] {
+			continue
+		}
+		healed[keys[i]] = true
 		req.Idem = "" // pure content-address path
 		t, err := final.Submit(req)
 		if err != nil {
