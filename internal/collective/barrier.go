@@ -25,12 +25,20 @@ func Barrier(c *mpi.Comm) {
 	}
 	me := c.Rank()
 	block := c.TagBlock()
-	round := 0
+	rounds := 0
 	for dist := 1; dist < p; dist <<= 1 {
-		tag := block + round
-		// Exchange posts the receive, starts the send and waits on
-		// both, then recycles the two requests.
-		c.Exchange((me+dist)%p, 0, tag, (me-dist+p)%p, 0, tag)
-		round++
+		rounds++
 	}
+	// The rounds run as one exchange sequence, so the rank parks once
+	// for the whole barrier; each round posts the receive, starts the
+	// send and completes both, then recycles the two requests.
+	steps := r.StepBuffer(rounds)
+	for round, dist := 0, 1; dist < p; round, dist = round+1, dist<<1 {
+		tag := block + round
+		steps[round] = mpi.Step{
+			SendTo: (me + dist) % p, SendTag: tag,
+			RecvFrom: (me - dist + p) % p, RecvTag: tag,
+		}
+	}
+	c.ExchangeSteps(steps)
 }

@@ -185,95 +185,43 @@ func (c *Comm) PairTag(block, a, b int) int {
 // the request's wait is failure-aware toward both the peer and this
 // communicator's revocation.
 func (c *Comm) Isend(dst int, bytes int64, tag int) *Request {
-	if c.Revoked() {
-		return errorRequest(c.r, &CommRevokedError{Comm: c.id, Op: "Isend"})
-	}
-	q := c.r.Isend(c.group[dst], bytes, tag)
-	q.comm = c
-	return q
+	return c.r.isend(c, dst, bytes, tag)
 }
 
 // Irecv posts a nonblocking receive from a communicator rank (see Isend
 // for revocation and failure-awareness).
 func (c *Comm) Irecv(src int, bytes int64, tag int) *Request {
-	if c.Revoked() {
-		return errorRequest(c.r, &CommRevokedError{Comm: c.id, Op: "Irecv"})
-	}
-	q := c.r.Irecv(c.group[src], bytes, tag)
-	q.comm = c
-	return q
+	return c.r.irecv(c, src, bytes, tag)
 }
 
 // Send is a blocking send to a communicator rank. The error is nil for a
 // completed send; a dead peer or revoked communicator surfaces as a
 // failure error (IsFailure).
 func (c *Comm) Send(dst int, bytes int64, tag int) error {
-	q := c.Isend(dst, bytes, tag)
-	q.Wait()
-	return c.r.world.reapReq(q)
+	return c.r.exchange1(c, Step{SendTo: dst, SendBytes: bytes, SendTag: tag}, true, false)
 }
 
 // Recv is a blocking receive from a communicator rank (errors as in Send).
 func (c *Comm) Recv(src int, bytes int64, tag int) error {
-	q := c.Irecv(src, bytes, tag)
-	q.Wait()
-	return c.r.world.reapReq(q)
+	return c.r.exchange1(c, Step{RecvFrom: src, RecvBytes: bytes, RecvTag: tag}, false, true)
 }
 
 // SendRecv exchanges with communicator ranks dst and src (errors as in
 // Send; the send's error wins when both fail).
 func (c *Comm) SendRecv(dst int, sendBytes int64, src int, recvBytes int64, tag int) error {
-	rq := c.Irecv(src, recvBytes, tag)
-	sq := c.Isend(dst, sendBytes, tag)
-	sq.Wait()
-	rq.Wait()
-	serr := c.r.world.reapReq(sq)
-	rerr := c.r.world.reapReq(rq)
-	if serr != nil {
-		return serr
-	}
-	return rerr
-}
-
-// Exchange runs the canonical progression of one schedule step that both
-// sends and receives: post the receive, start the send, then complete
-// send before receive. Every collective exchange — imperative or executed
-// from a communication plan — goes through this one sequence, so the two
-// paths progress (and therefore time and trace) identically. Errors as in
-// SendRecv.
-func (c *Comm) Exchange(sendTo int, sendBytes int64, sendTag int, recvFrom int, recvBytes int64, recvTag int) error {
-	rq := c.Irecv(recvFrom, recvBytes, recvTag)
-	sq := c.Isend(sendTo, sendBytes, sendTag)
-	WaitAll(sq, rq)
-	serr := c.r.world.reapReq(sq)
-	rerr := c.r.world.reapReq(rq)
-	if serr != nil {
-		return serr
-	}
-	return rerr
+	return c.Exchange(dst, sendBytes, tag, src, recvBytes, tag)
 }
 
 // SendValue is SendValue addressed by communicator rank; the wait is
 // failure-aware like every communicator operation.
 func (c *Comm) SendValue(dst int, bytes int64, tag int, v float64) error {
-	q := c.Isend(dst, bytes, tag)
-	if q.Err() != nil {
-		return q.Err()
-	}
-	c.r.world.putWire(c.r.id, c.group[dst], tag, v)
-	q.Wait()
-	return c.r.world.reapReq(q)
+	return c.SendValues(dst, bytes, tag, v)
 }
 
 // RecvValue is RecvValue addressed by communicator rank (failure-aware as
 // in SendValue).
 func (c *Comm) RecvValue(src int, bytes int64, tag int) (float64, error) {
-	q := c.Irecv(src, bytes, tag)
-	if q.Err() != nil {
-		return 0, q.Err()
-	}
-	q.Wait()
-	if err := c.r.world.reapReq(q); err != nil {
+	if err := c.Recv(src, bytes, tag); err != nil {
 		return 0, err
 	}
 	v, ok := c.r.world.takeWire(c.group[src], c.r.id, tag)

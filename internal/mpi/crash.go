@@ -119,65 +119,19 @@ func (w *World) crashRank(id int) {
 // began. A rank whose operation has already completed is left alone: it
 // wakes to a success.
 func (w *World) releaseWaits(peer, comm int) {
-	var hit []*Rank
+	var hit []*progress
 	for _, r := range w.ranks {
-		if r.waitOn == nil || r.waitOn.IsDone() || w.isDead(r.id) {
+		m := &r.prog
+		if m.parkedOn == nil || m.parkedOn.IsDone() || w.isDead(r.id) {
 			continue
 		}
-		if (peer >= 0 && r.waitPeer == peer) || (comm >= 0 && r.waitComm == comm) {
-			hit = append(hit, r)
+		if (peer >= 0 && m.wpeer == peer) || (comm >= 0 && m.wcomm == comm) {
+			hit = append(hit, m)
 		}
 	}
-	sort.Slice(hit, func(i, j int) bool { return hit[i].waitSeq < hit[j].waitSeq })
-	for _, r := range hit {
-		r.waitOn.Release(r.proc)
-		r.waitOn = nil
+	sort.Slice(hit, func(i, j int) bool { return hit[i].parkSeq < hit[j].parkSeq })
+	for _, m := range hit {
+		m.parkedOn.Release(m.r.proc)
+		m.parkedOn = nil
 	}
-}
-
-// awaitFT is await extended with failure detection. With the failure
-// machinery disarmed (or the operation already complete) it is exactly
-// await. Armed, the wait records its operation, peer and communicator on
-// the rank, and fails with a structured error instead of blocking forever
-// when the peer's death is detected or the communicator is revoked — the
-// ack/heartbeat-timeout detection of the progression engine. A wait that
-// begins after either fails at once. A negative peer (or self) watches no
-// death; a nil comm watches no revocation.
-func (r *Rank) awaitFT(f *simtime.Future, reason string, peer int, c *Comm) error {
-	w := r.world
-	comm := -1
-	if c != nil {
-		comm = c.id
-	}
-	if peer == r.id {
-		peer = -1
-	}
-	if w.ft == nil || f.IsDone() || (peer < 0 && comm < 0) {
-		r.await(f, reason, peer, false)
-		return nil
-	}
-	if w.ft.dead[peer] || w.ft.revoked[comm] {
-		// The failure is already known: nothing will release a park.
-		r.await(nil, reason, peer, true)
-	} else {
-		w.ft.parkSeq++
-		r.waitOn, r.waitPeer, r.waitComm, r.waitSeq = f, peer, comm, w.ft.parkSeq
-		r.await(f, reason, peer, true)
-		r.waitOn = nil
-	}
-	// A completed operation is a success even if a failure was reported
-	// at the same instant, and revocation outranks a peer's death.
-	if f.IsDone() {
-		return nil
-	}
-	if w.ft.revoked[comm] {
-		return &CommRevokedError{Comm: comm, Op: reason}
-	}
-	if b := w.obs; b != nil {
-		b.Add(obs.CtrFaultPeerFailures, 1)
-		if b.Tracing() {
-			b.Instant(r.track, "peer failure detected", map[string]any{"peer": peer})
-		}
-	}
-	return &PeerFailedError{Peer: peer, Op: reason}
 }

@@ -125,23 +125,12 @@ func (w *World) takeWire(src, dst, tag int) (float64, bool) {
 // pair to verify data correctness end-to-end (the simulated messages
 // themselves carry only sizes).
 func (r *Rank) SendValue(dst int, bytes int64, tag int, v float64) error {
-	q := r.Isend(dst, bytes, tag)
-	if q.Err() != nil {
-		return q.Err()
-	}
-	r.world.putWire(r.id, dst, tag, v)
-	q.Wait()
-	return q.Err()
+	return r.SendValues(dst, bytes, tag, v)
 }
 
 // RecvValue is Recv returning the value the matching SendValue attached.
 func (r *Rank) RecvValue(src int, bytes int64, tag int) (float64, error) {
-	q := r.Irecv(src, bytes, tag)
-	if q.Err() != nil {
-		return 0, q.Err()
-	}
-	q.Wait()
-	if err := q.Err(); err != nil {
+	if err := r.Recv(src, bytes, tag); err != nil {
 		return 0, err
 	}
 	v, ok := r.world.takeWire(src, r.id, tag)

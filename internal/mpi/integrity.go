@@ -67,28 +67,17 @@ func (w *World) tstateDepth(rank int) int {
 // SendValues is SendValue carrying several payload lanes on one simulated
 // message; the matching RecvValues dequeues them in order. Checked (ABFT)
 // collectives ride a checksum shadow on a second lane without changing
-// the message schedule — one lane is exactly SendValue.
+// the message schedule — one lane is exactly SendValue. The lanes are put
+// on the wire board once the send is initiated.
 func (r *Rank) SendValues(dst int, bytes int64, tag int, vs ...float64) error {
-	q := r.Isend(dst, bytes, tag)
-	if q.Err() != nil {
-		return q.Err()
-	}
-	for _, v := range vs {
-		r.world.putWire(r.id, dst, tag, v)
-	}
-	q.Wait()
-	return r.world.reapReq(q)
+	r.prog.lanes = append(r.prog.lanes[:0], vs...)
+	return r.exchange1(nil, Step{SendTo: dst, SendBytes: bytes, SendTag: tag}, true, false)
 }
 
 // RecvValues is Recv returning the n lanes the matching SendValues
 // attached.
 func (r *Rank) RecvValues(src int, bytes int64, tag, n int) ([]float64, error) {
-	q := r.Irecv(src, bytes, tag)
-	if q.Err() != nil {
-		return nil, q.Err()
-	}
-	q.Wait()
-	if err := r.world.reapReq(q); err != nil {
+	if err := r.Recv(src, bytes, tag); err != nil {
 		return nil, err
 	}
 	return r.takeWires(src, tag, n)
@@ -117,25 +106,13 @@ func (r *Rank) takeWires(src, tag, n int) ([]float64, error) {
 // SendValues is Rank.SendValues addressed by communicator rank
 // (failure-aware like every communicator operation).
 func (c *Comm) SendValues(dst int, bytes int64, tag int, vs ...float64) error {
-	q := c.Isend(dst, bytes, tag)
-	if q.Err() != nil {
-		return q.Err()
-	}
-	for _, v := range vs {
-		c.r.world.putWire(c.r.id, c.group[dst], tag, v)
-	}
-	q.Wait()
-	return c.r.world.reapReq(q)
+	c.r.prog.lanes = append(c.r.prog.lanes[:0], vs...)
+	return c.Send(dst, bytes, tag)
 }
 
 // RecvValues is Rank.RecvValues addressed by communicator rank.
 func (c *Comm) RecvValues(src int, bytes int64, tag, n int) ([]float64, error) {
-	q := c.Irecv(src, bytes, tag)
-	if q.Err() != nil {
-		return nil, q.Err()
-	}
-	q.Wait()
-	if err := c.r.world.reapReq(q); err != nil {
+	if err := c.Recv(src, bytes, tag); err != nil {
 		return nil, err
 	}
 	return c.r.takeWires(c.group[src], tag, n)

@@ -225,12 +225,27 @@ func (w *World) releaseSend(st *sendState) {
 
 // Isend starts a nonblocking send of bytes to global rank dst. The send
 // follows the eager protocol at or below the eager threshold (local
-// completion after injection) and RTS/CTS rendezvous above it. The
+// completion after injection) and RTS/CTS rendezvous above it. The call
+// itself takes the send's CPU-side startup and injection time; the
 // returned request must be completed with Wait by this rank. Invalid
 // arguments return an already-done request whose Err reports the
 // mistake, MPI-error-handler style.
 func (r *Rank) Isend(dst int, bytes int64, tag int) *Request {
+	return r.isend(nil, dst, bytes, tag)
+}
+
+// sendBegin initiates a send to dst (a communicator rank of c, or a
+// global rank when c is nil): it validates the arguments and returns the
+// send's request, already done with an error on a revoked communicator
+// or a bad argument. The caller then pays sendStartup before sendMid.
+func (r *Rank) sendBegin(c *Comm, dst int, bytes int64, tag int) *Request {
 	w := r.world
+	if c != nil {
+		if c.Revoked() {
+			return errorRequest(r, &CommRevokedError{Comm: c.id, Op: "Isend"})
+		}
+		dst = c.group[dst]
+	}
 	if dst < 0 || dst >= w.cfg.NProcs {
 		return errorRequest(r, fmt.Errorf("mpi: Isend to invalid rank %d (job has %d)",
 			dst, w.cfg.NProcs))
@@ -238,7 +253,8 @@ func (r *Rank) Isend(dst int, bytes int64, tag int) *Request {
 	if bytes < 0 {
 		return errorRequest(r, fmt.Errorf("mpi: Isend with negative size %d", bytes))
 	}
-	var seq uint64
+	q := w.getReq(r)
+	q.comm, q.peer, q.bytes, q.tag = c, dst, bytes, tag
 	if w.inj.Enabled() {
 		// Only the fault injector reads sequence numbers: it hashes
 		// them to pick lost and corrupted attempts.
@@ -246,119 +262,105 @@ func (r *Rank) Isend(dst int, bytes int64, tag int) *Request {
 			r.sendSeq = make(map[int]uint64)
 		}
 		r.sendSeq[dst]++
-		seq = r.sendSeq[dst]
+		q.seq = r.sendSeq[dst]
 	}
 	// Send-side progress beacon (piggybacked — no extra message, no
 	// virtual time): initiating traffic is evidence the rank is alive
 	// and moving, whatever its speed.
 	w.sb.beat(r.id)
+	return q
+}
 
-	// Shared memory is only usable with polling progression (§II-B);
-	// blocking mode falls back to the HCA loopback, handled by the
-	// network path below (the fabric routes src==dst via loopback).
-	if w.place.SameNode(r.id, dst) && w.cfg.Mode == Polling {
-		r.busySleep(w.cfg.IntraStartup)
+// viaShm reports whether a send to dst travels through shared memory.
+// Shared memory is only usable with polling progression (§II-B);
+// blocking mode falls back to the HCA loopback, handled by the network
+// path (the fabric routes src==dst via loopback).
+func (r *Rank) viaShm(dst int) bool {
+	return r.world.place.SameNode(r.id, dst) && r.world.cfg.Mode == Polling
+}
+
+// sendStartup is the CPU-side cost of initiating q.
+func (r *Rank) sendStartup(q *Request) simtime.Duration {
+	if r.viaShm(q.peer) {
+		return r.world.cfg.IntraStartup
+	}
+	return r.world.cfg.InterStartup
+}
+
+// sendMid continues q once its startup is paid. A rendezvous send posts
+// its request-to-send and is initiated; an eager send returns true with
+// the injection copy still to pay before sendEnd.
+func (r *Rank) sendMid(q *Request) (copyTime simtime.Duration, eager bool) {
+	w := r.world
+	dst, bytes := q.peer, q.bytes
+	if r.viaShm(dst) {
 		w.countShm(bytes, bytes > w.cfg.EagerThreshold)
 		if bytes <= w.cfg.EagerThreshold {
 			// Double copy: sender writes the shared region now;
 			// the receiver copies out on pickup.
-			r.copySleep(w.cfg.Shm.CopyTime(bytes, 1.0))
-			arr := w.eng.GetFuture()
-			arr.Complete()
-			if b := w.obs; b.Tracing() {
-				b.Instant(r.track, obs.TransferName("eager-shm", bytes, r.id, dst), nil)
-			}
-			m := w.getMsg()
-			m.src, m.dst, m.tag, m.bytes = r.id, dst, tag, bytes
-			m.kind, m.intraShm, m.arrived = eagerMsg, true, arr
-			w.deliver(dst, m)
-			return completedRequest(r)
+			return w.cfg.Shm.CopyTime(bytes, 1.0), true
 		}
 		// Rendezvous single copy: wait for the match, then copy
 		// straight into the receiver's buffer.
 		st := w.getSend()
-		st.src, st.dst, st.bytes, st.seq, st.intraShm = r.id, dst, bytes, seq, true
+		st.src, st.dst, st.bytes, st.seq, st.intraShm = r.id, dst, bytes, q.seq, true
 		end := r.msgSpan("rdv-shm", dst, bytes)
 		if end != nil {
 			st.dataDone.Then(end)
 		}
 		m := w.getMsg()
-		m.src, m.dst, m.tag, m.bytes = r.id, dst, tag, bytes
+		m.src, m.dst, m.tag, m.bytes = r.id, dst, q.tag, bytes
 		m.kind, m.snd = rtsMsg, st
 		w.eng.After(w.cfg.IntraStartup, m.land)
-		q := w.getReq(r)
-		q.kind, q.peer, q.bytes, q.st, q.end = reqRdvShm, dst, bytes, st, end
-		return q
+		q.kind, q.st, q.end = reqRdvShm, st, end
+		return 0, false
 	}
-
 	// Network path (inter-node, or intra-node loopback in blocking mode).
-	r.busySleep(w.cfg.InterStartup)
 	w.countNet(bytes, bytes > w.cfg.EagerThreshold)
 	if bytes <= w.cfg.EagerThreshold {
 		// Injection copy into HCA buffers, then local completion.
-		r.copySleep(w.hostCost(bytes))
-		arr := w.eng.GetFuture()
-		if end := r.msgSpan("eager", dst, bytes); end != nil {
-			arr.Then(end)
-		}
-		m := w.getMsg()
-		m.src, m.dst, m.tag, m.bytes = r.id, dst, tag, bytes
-		m.kind, m.arrived = eagerMsg, arr
-		w.netFlow(fault.Eager, r.id, dst, w.wireBytes(bytes), seq, m.land)
-		return completedRequest(r)
+		return w.hostCost(bytes), true
 	}
 	// The network rendezvous never completes cts: sendCTS chains CTS
 	// delivery straight into the payload flow, so only dataDone is
 	// observed.
 	st := w.getSend()
-	st.src, st.dst, st.bytes, st.seq, st.intraShm = r.id, dst, bytes, seq, false
+	st.src, st.dst, st.bytes, st.seq, st.intraShm = r.id, dst, bytes, q.seq, false
 	end := r.msgSpan("rdv", dst, bytes)
 	if end != nil {
 		st.dataDone.Then(end)
 	}
 	m := w.getMsg()
-	m.src, m.dst, m.tag, m.bytes = r.id, dst, tag, bytes
+	m.src, m.dst, m.tag, m.bytes = r.id, dst, q.tag, bytes
 	m.kind, m.snd = rtsMsg, st
-	w.netFlow(fault.RTS, r.id, dst, 0, seq, m.land)
-	q := w.getReq(r)
-	q.kind, q.peer, q.bytes, q.st, q.end = reqRdvNet, dst, bytes, st, end
-	return q
+	w.netFlow(fault.RTS, r.id, dst, 0, q.seq, m.land)
+	q.kind, q.st, q.end = reqRdvNet, st, end
+	return 0, false
 }
 
-// waitRdvShm progresses a shared-memory rendezvous send: await the CTS
-// (optionally at fmin, §VIII), then single-copy into the receiver's
-// buffer and complete the transfer.
-func (q *Request) waitRdvShm() error {
-	r, st := q.r, q.st
-	if r.p2pScaleDown(&st.cts) {
-		defer r.ScaleUp()
-	}
-	if err := r.awaitFT(&st.cts, "shm rendezvous cts", q.peer, q.comm); err != nil {
-		if q.end != nil {
-			q.end()
+// sendEnd injects an eager send once its copy is paid; the send is then
+// locally complete.
+func (r *Rank) sendEnd(q *Request) {
+	w := r.world
+	dst, bytes := q.peer, q.bytes
+	arr := w.eng.GetFuture()
+	m := w.getMsg()
+	m.src, m.dst, m.tag, m.bytes = r.id, dst, q.tag, bytes
+	q.done = true
+	if r.viaShm(dst) {
+		arr.Complete()
+		if b := w.obs; b.Tracing() {
+			b.Instant(r.track, obs.TransferName("eager-shm", bytes, r.id, dst), nil)
 		}
-		return err
+		m.kind, m.intraShm, m.arrived = eagerMsg, true, arr
+		w.deliver(dst, m)
+		return
 	}
-	r.copySleep(r.world.cfg.Shm.CopyTime(q.bytes, 1.0))
-	st.dataDone.Complete()
-	q.st = nil
-	r.world.releaseSend(st)
-	return nil
-}
-
-// waitRdvNet progresses a network rendezvous send: the HCA handles the
-// CTS and payload autonomously, so the wait only observes dataDone.
-func (q *Request) waitRdvNet() error {
-	st := q.st
-	if err := q.r.awaitFT(&st.dataDone, "rendezvous data", q.peer, q.comm); err != nil {
-		if q.end != nil {
-			q.end()
-		}
-		return err
+	if end := r.msgSpan("eager", dst, bytes); end != nil {
+		arr.Then(end)
 	}
-	q.st = nil
-	q.r.world.releaseSend(st)
-	return nil
+	m.kind, m.arrived = eagerMsg, arr
+	w.netFlow(fault.Eager, r.id, dst, w.wireBytes(bytes), q.seq, m.land)
 }
 
 // Irecv posts a nonblocking receive for a message of exactly bytes from
@@ -366,7 +368,19 @@ func (q *Request) waitRdvNet() error {
 // event context) so rendezvous handshakes never require the receiver to
 // be inside Wait.
 func (r *Rank) Irecv(src int, bytes int64, tag int) *Request {
+	return r.irecv(nil, src, bytes, tag)
+}
+
+// irecv is Irecv from src, a communicator rank of c or a global rank
+// when c is nil; on a revoked communicator it fails at initiation.
+func (r *Rank) irecv(c *Comm, src int, bytes int64, tag int) *Request {
 	w := r.world
+	if c != nil {
+		if c.Revoked() {
+			return errorRequest(r, &CommRevokedError{Comm: c.id, Op: "Irecv"})
+		}
+		src = c.group[src]
+	}
 	if src < 0 || src >= w.cfg.NProcs {
 		return errorRequest(r, fmt.Errorf("mpi: Irecv from invalid rank %d (job has %d)",
 			src, w.cfg.NProcs))
@@ -393,90 +407,23 @@ func (r *Rank) Irecv(src int, bytes int64, tag int) *Request {
 		box.pending.push(pr)
 	}
 	q := w.getReq(r)
-	q.kind, q.peer, q.bytes, q.tag, q.pr = reqRecv, src, bytes, tag, pr
+	q.comm, q.kind, q.peer, q.bytes, q.tag, q.pr = c, reqRecv, src, bytes, tag, pr
 	return q
-}
-
-// waitRecv progresses a posted receive: await the match, then the
-// payload, recycling the mailbox objects on success.
-func (q *Request) waitRecv() error {
-	r, pr, src, bytes := q.r, q.pr, q.peer, q.bytes
-	w := r.world
-	// §VIII power-aware p2p: an intra-node rendezvous-sized
-	// receive waits at fmin (the wait is event-driven, so only
-	// the two DVFS transitions cost time).
-	if w.place.SameNode(r.id, src) && w.cfg.Mode == Polling &&
-		bytes > w.cfg.EagerThreshold && r.p2pScaleDown(pr.match) {
-		defer r.ScaleUp()
-	}
-	if err := r.awaitFT(pr.match, "recv match", src, q.comm); err != nil {
-		return err
-	}
-	m := pr.msg
-	if m.bytes != bytes {
-		// A protocol bug, not a recoverable fault: surface it
-		// through the engine's failure report (like a deadlock or
-		// starved flow) and on the request, instead of panicking.
-		err := fmt.Errorf("mpi: rank %d recv size mismatch from %d tag %d: posted %d, got %d",
-			r.id, src, q.tag, bytes, m.bytes)
-		w.eng.Fail(err)
-		return err
-	}
-	switch m.kind {
-	case eagerMsg:
-		if err := r.awaitFT(m.arrived, "recv payload", src, q.comm); err != nil {
-			return err
-		}
-		if m.intraShm {
-			// Copy out of the shared region.
-			r.copySleep(w.cfg.Shm.CopyTime(m.bytes, 1.0))
-		}
-		// The payload future has completed and drained its chained
-		// callbacks; the sender's delivery closure has already run.
-		w.eng.PutFuture(m.arrived)
-	case rtsMsg:
-		if err := r.awaitFT(&m.snd.dataDone, "recv rendezvous data", src, q.comm); err != nil {
-			return err
-		}
-		w.releaseSend(m.snd)
-	}
-	// Fully received: the message has left both mailbox queues and
-	// this wait body runs at most once, so the receive pair and the
-	// match future (completed, unreferenced outside pr) can be
-	// recycled. Abandoned or failed waits above leak to the GC.
-	q.pr = nil
-	w.eng.PutFuture(pr.match)
-	w.putMsg(m)
-	w.putRecv(pr)
-	return nil
 }
 
 // Send is a blocking send: Isend followed by Wait. The error reports
 // invalid arguments; a well-formed send always returns nil.
 func (r *Rank) Send(dst int, bytes int64, tag int) error {
-	q := r.Isend(dst, bytes, tag)
-	q.Wait()
-	return r.world.reapReq(q)
+	return r.exchange1(nil, Step{SendTo: dst, SendBytes: bytes, SendTag: tag}, true, false)
 }
 
 // Recv is a blocking receive: Irecv followed by Wait.
 func (r *Rank) Recv(src int, bytes int64, tag int) error {
-	q := r.Irecv(src, bytes, tag)
-	q.Wait()
-	return r.world.reapReq(q)
+	return r.exchange1(nil, Step{RecvFrom: src, RecvBytes: bytes, RecvTag: tag}, false, true)
 }
 
 // SendRecv exchanges messages with possibly different peers, completing
 // both operations before returning (the workhorse of pairwise exchange).
 func (r *Rank) SendRecv(dst int, sendBytes int64, src int, recvBytes int64, tag int) error {
-	rq := r.Irecv(src, recvBytes, tag)
-	sq := r.Isend(dst, sendBytes, tag)
-	sq.Wait()
-	rq.Wait()
-	serr := r.world.reapReq(sq)
-	rerr := r.world.reapReq(rq)
-	if serr != nil {
-		return serr
-	}
-	return rerr
+	return r.exchange1(nil, Step{dst, sendBytes, tag, src, recvBytes, tag}, true, true)
 }

@@ -41,16 +41,12 @@ type Rank struct {
 	// state, and RecoverPower re-issues it.
 	wantFreq float64
 	wantT    power.TState
-	// The armed wait this rank is parked in (waitOn nil when none): its
-	// future, the peer and communicator whose failure fails it (-1 for
-	// none), and when it began (see awaitFT).
-	waitOn             *simtime.Future
-	waitPeer, waitComm int
-	waitSeq            uint64
+	// prog runs the rank's blocking message calls (see progress.go).
+	prog progress
 }
 
 func newRank(w *World, id int, core *power.Core) *Rank {
-	return &Rank{
+	r := &Rank{
 		world:    w,
 		id:       id,
 		core:     core,
@@ -58,6 +54,8 @@ func newRank(w *World, id int, core *power.Core) *Rank {
 		wantFreq: core.FreqGHz(),
 		wantT:    core.Throttle(),
 	}
+	r.prog.r = r
+	return r
 }
 
 // ID returns the global rank number.
@@ -119,48 +117,56 @@ func (r *Rank) powerLag() float64 {
 	return want / got
 }
 
-// busySleep advances time by d scaled up by the core's current slowdown.
-// The caller's core is busy throughout (ranks are busy by default). A
-// straggler or fail-slow rank (fault injection) stretches further by its
-// injected stretch; the multiply is skipped when the stretch is exactly 1.
-// With fail-slow detection armed, the call also folds its observed/
-// expected ratio into the rank's scoreboard EWMA — bookkeeping only, no
-// virtual time.
+// busyDelay is the virtual time that d of clock-bound work takes on the
+// core at its current slowdown, and whether there is any work to pay for
+// (d > 0; the scaled time may still round to zero). The caller's core is
+// busy throughout (ranks are busy by default). A straggler or fail-slow
+// rank (fault injection) stretches further by its injected stretch; the
+// multiply is skipped when the stretch is exactly 1. With fail-slow
+// detection armed, the call also folds its observed/expected ratio into
+// the rank's scoreboard EWMA — bookkeeping only, no virtual time.
+func (r *Rank) busyDelay(d simtime.Duration) (simtime.Duration, bool) {
+	return r.stretched(d, r.speed())
+}
+
+// copyDelay is busyDelay for streaming memory work: d scaled by the
+// streaming-copy slowdown (and the injected stretch).
+func (r *Rank) copyDelay(d simtime.Duration) (simtime.Duration, bool) {
+	return r.stretched(d, r.copySpeed())
+}
+
+func (r *Rank) stretched(d simtime.Duration, speed float64) (simtime.Duration, bool) {
+	if d <= 0 {
+		return 0, false
+	}
+	sec := d.Seconds() / speed
+	s := r.computeStretch()
+	if s != 1 {
+		sec *= s
+	}
+	if sb := r.world.sb; sb != nil {
+		sb.note(r.id, s*r.powerLag())
+	}
+	return simtime.DurationOf(sec), true
+}
+
+// busySleep advances time by busyDelay(d).
 func (r *Rank) busySleep(d simtime.Duration) {
-	if d <= 0 {
-		return
+	if d, ok := r.busyDelay(d); ok {
+		r.proc.Sleep(d)
 	}
-	sec := d.Seconds() / r.speed()
-	s := r.computeStretch()
-	if s != 1 {
-		sec *= s
-	}
-	if sb := r.world.sb; sb != nil {
-		sb.note(r.id, s*r.powerLag())
-	}
-	r.proc.Sleep(simtime.DurationOf(sec))
 }
 
-// copySleep advances time by d scaled by the streaming-copy slowdown
-// (and the injected stretch, as in busySleep).
+// copySleep advances time by copyDelay(d).
 func (r *Rank) copySleep(d simtime.Duration) {
-	if d <= 0 {
-		return
+	if d, ok := r.copyDelay(d); ok {
+		r.proc.Sleep(d)
 	}
-	sec := d.Seconds() / r.copySpeed()
-	s := r.computeStretch()
-	if s != 1 {
-		sec *= s
-	}
-	if sb := r.world.sb; sb != nil {
-		sb.note(r.id, s*r.powerLag())
-	}
-	r.proc.Sleep(simtime.DurationOf(sec))
 }
 
-// transitionSleep pays one hardware-paced P/T-state transition latency
+// transitionDelay is one hardware-paced P/T-state transition latency
 // plus any injected extra settle time (a slow or stuck transition).
-func (r *Rank) transitionSleep(base simtime.Duration, dvfs bool) {
+func (r *Rank) transitionDelay(base simtime.Duration, dvfs bool) simtime.Duration {
 	if extra := r.core.TransitionDelay(dvfs); extra > 0 {
 		base += extra
 		if b := r.world.obs; b != nil {
@@ -168,7 +174,7 @@ func (r *Rank) transitionSleep(base simtime.Duration, dvfs bool) {
 			b.AddDuration(obs.DurFaultPowerDelay, extra)
 		}
 	}
-	r.proc.Sleep(base)
+	return base
 }
 
 // MemCopy charges the cost of one streaming copy of the given size
@@ -196,58 +202,6 @@ func (r *Rank) ComputeSeconds(secs float64) {
 	r.Compute(simtime.DurationOf(secs))
 }
 
-// await blocks on a future with the configured progression semantics:
-// polling spins (core stays busy), blocking idles the core and pays the
-// interrupt + reschedule latency on wakeup. With observability attached,
-// the wait is accrued into the spin/block wait-time metric and, when the
-// bus records a timeline, recorded as a span on the rank's timeline
-// (carrying the peer rank being waited on, when known — the dependency
-// edge the analytics engine's critical-path walk follows). peer < 0 (or
-// self) records no edge. A failure-aware wait (armed) takes one more
-// same-instant hop after it wakes, and one in place of parking when f is
-// nil because its failure is already known, so it resumes exactly where
-// a wait woken through a completion callback would.
-func (r *Rank) await(f *simtime.Future, reason string, peer int, armed bool) {
-	if f != nil && f.IsDone() {
-		return
-	}
-	b := r.world.obs
-	var start simtime.Time
-	if b != nil {
-		start = b.Now()
-	}
-	dur := obs.DurWaitSpin
-	blocking := r.world.cfg.Mode == Blocking
-	if blocking {
-		dur = obs.DurWaitBlock
-		r.core.SetBusy(false)
-	}
-	if f != nil {
-		f.Await(r.proc, reason)
-	} else {
-		r.proc.Sleep(0)
-	}
-	if armed {
-		r.proc.Sleep(0)
-	}
-	if blocking {
-		r.core.SetBusy(true)
-		r.busySleep(r.world.cfg.InterruptLatency)
-	}
-	if b == nil {
-		return
-	}
-	end := b.Now()
-	if b.Tracing() {
-		var args map[string]any
-		if peer >= 0 && peer != r.id {
-			args = map[string]any{"peer": peer}
-		}
-		b.Span(r.track, "wait "+reason, start, end, args)
-	}
-	b.AddDuration(dur, end.Sub(start))
-}
-
 // SetFreq performs one DVFS transition on this rank's core, paying the
 // model's Odvfs latency. The transition is hardware-paced (an MSR write
 // plus PLL settle), so it does not stretch with the core's own slowdown.
@@ -255,12 +209,27 @@ func (r *Rank) await(f *simtime.Future, reason string, peer int, armed bool) {
 // latency: the core keeps its old frequency while the rank's intended
 // state (wantFreq) moves on — see RecoverPower.
 func (r *Rank) SetFreq(ghz float64) {
+	if d, ok := r.freqBegin(ghz); ok {
+		r.proc.Sleep(d)
+		r.freqEnd(ghz)
+	}
+}
+
+// freqBegin records ghz (clamped) as the rank's intended frequency and
+// returns the latency of the transition to it, or false when the core
+// already runs there. freqEnd, after that latency, applies it.
+func (r *Rank) freqBegin(ghz float64) (simtime.Duration, bool) {
 	target := r.world.cfg.Power.ClampFreq(ghz)
 	r.wantFreq = target
 	if r.core.FreqGHz() == target {
-		return
+		return 0, false
 	}
-	r.transitionSleep(r.world.cfg.Power.ODVFS, true)
+	return r.transitionDelay(r.world.cfg.Power.ODVFS, true), true
+}
+
+// freqEnd completes the transition freqBegin started.
+func (r *Rank) freqEnd(ghz float64) {
+	target := r.world.cfg.Power.ClampFreq(ghz)
 	if r.world.inj.TransitionLost(r.core.ID(), true) {
 		if b := r.world.obs; b != nil {
 			b.Add(obs.CtrFaultTransitionsLost, 1)
@@ -295,7 +264,7 @@ func (r *Rank) SetThrottle(t power.TState) {
 	if r.core.Throttle() == t {
 		return
 	}
-	r.transitionSleep(r.world.cfg.Power.OThrottle, false)
+	r.proc.Sleep(r.transitionDelay(r.world.cfg.Power.OThrottle, false))
 	if r.world.inj.TransitionLost(r.core.ID(), false) {
 		if b := r.world.obs; b != nil {
 			b.Add(obs.CtrFaultTransitionsLost, 1)
@@ -354,20 +323,6 @@ func (r *Rank) RecoverPower(attempts int) bool {
 		b.Instant(r.track, "power state recovered", nil)
 	}
 	return ok
-}
-
-// p2pScaleDown implements the PowerAwareP2P option: if enabled, the core
-// is at fmax (no collective is managing it), and the wait is not already
-// over, drop to fmin for the duration of an intra-node rendezvous wait.
-// It reports whether it scaled down; the caller then restores fmax with
-// ScaleUp when the wait is over.
-func (r *Rank) p2pScaleDown(pending *simtime.Future) bool {
-	cfg := &r.world.cfg
-	if !cfg.PowerAwareP2P || pending.IsDone() || r.core.FreqGHz() < cfg.Power.FMaxGHz {
-		return false
-	}
-	r.SetFreq(cfg.Power.FMinGHz)
-	return true
 }
 
 // Idle parks the rank for d of virtual time with the core idle — used by

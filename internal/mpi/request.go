@@ -19,7 +19,8 @@ const (
 
 // Request is a handle for a nonblocking operation. Wait must be called by
 // the rank that created the request (MPI semantics); progression beyond
-// the initiation happens inside Wait or in simulation event context.
+// the initiation happens in the rank's progress machine (progress.go)
+// inside Wait, or in simulation event context.
 type Request struct {
 	r *Rank
 	// comm, when the operation was issued through a communicator, lets
@@ -31,6 +32,8 @@ type Request struct {
 	peer  int
 	bytes int64
 	tag   int
+	// seq numbers a send for the fault injector (0 without one).
+	seq uint64
 	// pr is the receive side (reqRecv); st the send side (reqRdv*).
 	pr *pendingRecv
 	st *sendState
@@ -39,14 +42,6 @@ type Request struct {
 	end  func()
 	done bool
 	err  error
-}
-
-// completedRequest returns a request whose operation finished during
-// initiation (eager sends).
-func completedRequest(r *Rank) *Request {
-	q := r.world.getReq(r)
-	q.done = true
-	return q
 }
 
 // getReq returns a recycled (or fresh) request bound to r.
@@ -61,10 +56,12 @@ func (w *World) getReq(r *Rank) *Request {
 }
 
 // putReq recycles a request. Its one caller is reapReq, which the
-// blocking wrappers (Send, Recv, SendRecv and their Comm forms) and
-// Comm.Exchange — the step every collective, Barrier included, runs
-// through — call once the request has completed; none of them lets the
-// handle escape, so the release point is provably the last reference.
+// progress machine calls at the end of every exchange step — the
+// blocking wrappers (Send, Recv, SendRecv, SendValue and their Comm
+// forms), Comm.Exchange and Comm.ExchangeSteps, which every collective,
+// Barrier included, runs through — once the step's requests have
+// completed; none of those calls lets the handle escape, so the release
+// point is provably the last reference.
 // Requests returned to callers through the nonblocking API are never
 // recycled (the caller owns the handle); failed requests are kept alive
 // by their error path.
@@ -94,22 +91,9 @@ func errorRequest(r *Rank, err error) *Request {
 // is a no-op, as is waiting on a request that failed initiation (check
 // Err).
 func (q *Request) Wait() {
-	if q.done {
-		return
+	if !q.done {
+		q.r.waitReqs(q)
 	}
-	var err error
-	switch q.kind {
-	case reqRecv:
-		err = q.waitRecv()
-	case reqRdvNet:
-		err = q.waitRdvNet()
-	case reqRdvShm:
-		err = q.waitRdvShm()
-	}
-	if err != nil && q.err == nil {
-		q.err = err
-	}
-	q.done = true
 }
 
 // Err reports the request's error: an initiation mistake (an out-of-range
@@ -122,14 +106,15 @@ func (q *Request) Err() error { return q.err }
 // Done reports whether Wait has completed (or was never needed).
 func (q *Request) Done() bool { return q.done }
 
-// WaitAll completes a set of requests in order. With the simulator's
-// synchronous progression the order only affects which request's costs
-// are accounted first; total time is the same as any interleaving because
+// WaitAll completes a set of requests in order, parking the calling rank
+// at most once. The order only affects which request's costs are
+// accounted first; total time is the same as any interleaving because
 // matching and transfers advance in event context.
 func WaitAll(reqs ...*Request) {
 	for _, q := range reqs {
-		if q != nil {
-			q.Wait()
+		if q != nil && !q.done {
+			q.r.waitReqs(reqs...)
+			return
 		}
 	}
 }

@@ -170,24 +170,19 @@ func (c *Comm) agree(bad, census bool) *agreeState {
 		w.ft.agree[key] = st
 		w.ft.agreeOrder = append(w.ft.agreeOrder, key)
 	}
-	reason, ctr := "ulfm agree", obs.CtrFaultAgreements
+	m := &r.prog
+	m.agree, m.bad, m.reason, m.counter = st, bad, "ulfm agree", obs.CtrFaultAgreements
 	if census {
 		// Set before the join latency: a crash meanwhile may resolve
 		// the instance, and the census must still be taken.
 		st.wantSuspects = w.sb != nil
-		reason, ctr = "suspect census", obs.CtrFaultSuspectCensuses
+		m.reason, m.counter = "suspect census", obs.CtrFaultSuspectCensuses
 	}
-	// Joining costs one control-message initiation.
-	r.busySleep(w.cfg.InterStartup)
-	st.joined[r.id] = true
-	if bad {
-		st.bad = true
-	}
-	if b := w.obs; b != nil {
-		b.Add(ctr, 1)
-	}
-	w.maybeResolveAgreement(st)
-	r.await(st.done, reason, -1, false)
+	// Joining costs one control-message initiation; then the member
+	// votes and waits for the resolution.
+	m.pc = pcAgree
+	r.block()
+	m.agree = nil
 	return st
 }
 

@@ -469,7 +469,7 @@ func (e *Engine) Run(limit Time) (int, error) {
 		cur.next++
 		switch {
 		case ev.proc != nil:
-			e.runProc(ev.proc)
+			e.dispatch(ev.proc)
 		case ev.h != nil:
 			ev.h.Fire()
 		default:

@@ -11,7 +11,9 @@ import (
 // Proc is a cooperative simulated process: a runtime coroutine (the one
 // behind iter.Pull) that runs only when the engine hands it control and
 // yields back whenever it blocks on a primitive. All Proc methods must be
-// called from the process's own body (inside the func passed to Spawn).
+// called from the process's own body (inside the func passed to Spawn),
+// except WakeAfter and Future.Enlist, which an armed continuation also
+// calls from event context.
 type Proc struct {
 	eng  *Engine
 	id   int
@@ -27,6 +29,10 @@ type Proc struct {
 	// killed marks a process condemned by Kill; its next resume unwinds
 	// the body with a Killed panic instead of continuing.
 	killed bool
+	// cont is the continuation armed by Park (nil when none): the
+	// wakeups dispatched for the process run it instead of switching
+	// into the coroutine.
+	cont Continuation
 	// blockedOn describes what the process is waiting for; used in
 	// deadlock reports.
 	blockedOn string
@@ -92,8 +98,10 @@ type Killed struct{}
 
 // Kill condemns the process: it is resumed at the current virtual time and
 // unwinds with a Killed panic at its current park point instead of
-// continuing its body. Killing a done or already-killed process is a
-// no-op. Must be called from event context (the process is parked).
+// continuing its body. An armed continuation is dropped, not run: the
+// coroutine unwinds from its Park. Killing a done or already-killed
+// process is a no-op. Must be called from event context (the process is
+// parked).
 func (p *Proc) Kill() {
 	if p.done || p.killed {
 		return
@@ -102,12 +110,43 @@ func (p *Proc) Kill() {
 	p.eng.wakeAt(p.eng.now, p)
 }
 
+// Continuation carries a parked process's blocking call forward in event
+// context, so that a call made of several waits switches into the
+// process's coroutine once, when it returns, instead of once per wait.
+type Continuation interface {
+	// Continue runs in the queue slot of a wakeup dispatched for p. It
+	// either re-parks p — WakeAfter, or Future.Enlist — and returns
+	// false, or returns true when the blocking call is over: the engine
+	// then switches into p's coroutine in the same slot, and Park
+	// returns.
+	Continue(p *Proc) bool
+}
+
+// Park parks the process behind c until c reports its blocking call
+// over. The caller must already have re-parked the process (WakeAfter or
+// Future.Enlist), exactly as a continuation step does. A killed process
+// unwinds from Park with a Killed panic; c is not run again.
+func (p *Proc) Park(c Continuation) {
+	p.cont = c
+	p.yield()
+}
+
+// dispatch delivers one wakeup to p: to its armed continuation, which may
+// re-park p without a switch, or else to its coroutine.
+func (e *Engine) dispatch(p *Proc) {
+	if c := p.cont; c != nil && !p.killed && !c.Continue(p) {
+		return
+	}
+	e.runProc(p)
+}
+
 // runProc transfers control to p and returns when p parks again (or
 // terminates). Must only be called from event context.
 func (e *Engine) runProc(p *Proc) {
 	if p.done {
 		return
 	}
+	p.cont = nil
 	if p.resume == nil {
 		if p.killed {
 			// Condemned before its first run: retire without
@@ -123,9 +162,9 @@ func (e *Engine) runProc(p *Proc) {
 }
 
 // yield parks the process and hands control back to the engine; it returns
-// when some event resumes the process.
-func (p *Proc) yield(reason string) {
-	p.blockedOn = reason
+// when some event resumes the process. The caller has recorded what the
+// process waits for in blockedOn.
+func (p *Proc) yield() {
 	p.park(struct{}{})
 	if p.killed {
 		p.blockedOn = "killed"
@@ -152,11 +191,19 @@ func (p *Proc) Done() bool { return p.done }
 // Sleep blocks the process for d of virtual time. Zero or negative d
 // still yields, letting events scheduled for the current instant run.
 func (p *Proc) Sleep(d Duration) {
+	p.WakeAfter(d)
+	p.yield()
+}
+
+// WakeAfter schedules the process's next wakeup d from now (negative d
+// means now) without parking it: the re-park a continuation step makes
+// in place of Sleep.
+func (p *Proc) WakeAfter(d Duration) {
 	if d < 0 {
 		d = 0
 	}
 	p.eng.wakeAt(p.eng.now.Add(d), p)
-	p.yield("sleep")
+	p.blockedOn = "sleep"
 }
 
 func (p *Proc) describe() string {
@@ -180,7 +227,8 @@ func NewCond(e *Engine) *Cond { return &Cond{eng: e} }
 // Wait parks the calling process until a subsequent Signal or Broadcast.
 func (c *Cond) Wait(p *Proc, reason string) {
 	c.waiters = append(c.waiters, p)
-	p.yield(reason)
+	p.blockedOn = reason
+	p.yield()
 }
 
 // Signal wakes the longest-waiting process, if any. The wakeup is
@@ -352,12 +400,23 @@ func (f *Future) CompletedAt() Time { return f.at }
 // Await blocks p until the future completes; returns immediately if it
 // already has.
 func (f *Future) Await(p *Proc, reason string) {
+	if f.Enlist(p, reason) {
+		p.yield()
+	}
+}
+
+// Enlist adds p to the future's waiters without parking it, reporting
+// false (and enlisting nothing) when the future has already completed.
+// It is the re-park a continuation step makes in place of Await.
+func (f *Future) Enlist(p *Proc, reason string) bool {
 	switch {
 	case f.done:
+		return false
 	case f.waiter == nil:
 		f.waiter = p
-		p.yield(reason)
 	default:
-		f.cond.Wait(p, reason)
+		f.cond.waiters = append(f.cond.waiters, p)
 	}
+	p.blockedOn = reason
+	return true
 }
