@@ -121,8 +121,8 @@ func (w *World) crashRank(id int) {
 func (w *World) releaseWaits(peer, comm int) {
 	var hit []*progress
 	for _, r := range w.ranks {
-		m := &r.prog
-		if m.parkedOn == nil || m.parkedOn.IsDone() || w.isDead(r.id) {
+		m := r.prog
+		if m == nil || !m.parked || m.wf.IsDone() || w.isDead(r.id) {
 			continue
 		}
 		if (peer >= 0 && m.wpeer == peer) || (comm >= 0 && m.wcomm == comm) {
@@ -131,7 +131,7 @@ func (w *World) releaseWaits(peer, comm int) {
 	}
 	sort.Slice(hit, func(i, j int) bool { return hit[i].parkSeq < hit[j].parkSeq })
 	for _, m := range hit {
-		m.parkedOn.Release(m.r.proc)
-		m.parkedOn = nil
+		m.wf.Release(m.r.proc)
+		m.parked = false
 	}
 }

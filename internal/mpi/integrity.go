@@ -70,8 +70,9 @@ func (w *World) tstateDepth(rank int) int {
 // the message schedule — one lane is exactly SendValue. The lanes are put
 // on the wire board once the send is initiated.
 func (r *Rank) SendValues(dst int, bytes int64, tag int, vs ...float64) error {
-	r.prog.lanes = append(r.prog.lanes[:0], vs...)
-	return r.exchange1(nil, Step{SendTo: dst, SendBytes: bytes, SendTag: tag}, true, false)
+	a := &r.world.call
+	a.lanes = append(a.lanes[:0], vs...)
+	return r.exchange(nil, nil, Step{SendTo: dst, SendBytes: bytes, SendTag: tag}, true, false)
 }
 
 // RecvValues is Recv returning the n lanes the matching SendValues
@@ -106,7 +107,8 @@ func (r *Rank) takeWires(src, tag, n int) ([]float64, error) {
 // SendValues is Rank.SendValues addressed by communicator rank
 // (failure-aware like every communicator operation).
 func (c *Comm) SendValues(dst int, bytes int64, tag int, vs ...float64) error {
-	c.r.prog.lanes = append(c.r.prog.lanes[:0], vs...)
+	a := &c.r.world.call
+	a.lanes = append(a.lanes[:0], vs...)
 	return c.Send(dst, bytes, tag)
 }
 

@@ -10,78 +10,88 @@ import (
 // This file is the rank's progress machine: every blocking message call
 // (Send, Recv, SendRecv, Exchange, ExchangeSteps, Isend, Wait, WaitAll,
 // the value-carrying sends and receives, and the ULFM agreement) runs on
-// it. A call sets the machine up and runs it from the rank's coroutine
-// until its first wait; if the call is not over by then, the coroutine
-// parks once behind the machine (simtime.Proc.Park). From then on, each
-// wakeup dispatched for the rank runs the machine's next step in event
-// context — a startup or copy sleep, a future wait, the failure-aware
-// hop, the blocking-mode interrupt latency, a power-aware p2p transition
-// — and re-parks the rank without switching into its coroutine. The
-// step in which the call returns switches back in, in that same event.
+// it. A call puts its arguments in the world's call slot and parks the
+// rank's coroutine once (simtime.Proc.Park). The machine takes the
+// arguments in its first step, which runs in the same queue slot as soon
+// as the coroutine has switched out. From then on, each wakeup dispatched
+// for the rank runs the machine's next step in event context — a
+// startup or copy sleep, a future wait, the failure-aware hop, the
+// blocking-mode interrupt latency, a power-aware p2p transition — and
+// re-parks the rank without switching into its coroutine. The step in
+// which the call returns switches back in, in that same event.
 //
 // The machine schedules exactly the wakeups, in the same order and at
 // the same instants, that the coroutine did when it parked at every one
 // of those waits, so simulated behaviour is unchanged; only the host
-// cost of the switches goes. A rank has at most one blocking call in
-// flight, so the machine's state lives in its Rank.
+// cost of the switches goes. The call's work runs on the engine's stack,
+// so a parked coroutine's stack stays at its minimum size. A rank has at
+// most one blocking call in flight, so the machine's state lives in its
+// Rank; it is allocated at the rank's first blocking call.
+
+// callArgs carries one blocking call from a rank's coroutine to its
+// machine. Ranks run one at a time and the machine takes the arguments
+// before any other rank runs, so a world needs one; its buffers are
+// reused, and the coroutine never allocates for a call.
+type callArgs struct {
+	// owner is the rank whose call the slot holds (nil once taken).
+	owner *Rank
+	// pc is the call's first position: pcStep, pcReqs or pcAgree.
+	pc uint8
+	// The exchange steps (pcStep): the communicator (nil for global
+	// ranks), the halves every step has, whether the call ends once its
+	// one send is initiated (Isend), the steps (nil for a one-step call,
+	// whose step is one), and the wire-board lanes the send carries.
+	c                       *Comm
+	hasSend, hasRecv, isend bool
+	steps                   []Step
+	one                     Step
+	lanes                   []float64
+	// reqs are the requests a Wait or WaitAll completes (pcReqs).
+	reqs []*Request
+	// The agreement to join (pcAgree): the instance, the vote, and
+	// whether it is a suspect census.
+	agree       *agreeState
+	bad, census bool
+	// stepBuf backs StepBuffer.
+	stepBuf []Step
+}
 
 // progress is a rank's progress machine. Its fields describe the call in
-// flight; they are reset by each call's entry point.
+// flight.
 type progress struct {
 	r *Rank
 	// pc is the call's position (pc* constants); rs the position of the
 	// request being completed (rs*); ws the position of the future wait
 	// in progress (ws*).
 	pc, rs, ws uint8
-	// hasSend and hasRecv select the halves every step of the call has.
-	hasSend, hasRecv bool
+	// The call's arguments (see callArgs).
+	hasSend, hasRecv, isend, bad, census bool
+	c                                    *Comm
+	steps                                []Step
+	lanes                                []float64
+	reqs                                 []*Request
+	agree                                *agreeState
 	// scaled marks a request wait running at fmin under PowerAwareP2P:
 	// fmax must be restored when it ends, or when a kill unwinds it.
 	scaled bool
-
-	// The exchange steps of the call (callSteps): the communicator
-	// (nil for global ranks), the steps and the cursor k, the current
-	// step's requests, and the first error.
-	c      *Comm
-	steps  []Step
-	k      int
+	// k and i are the step and request cursors; sq and rq the current
+	// step's requests; err the first step error.
+	k, i   int
 	sq, rq *Request
 	err    error
-	// isend ends the call once its send is initiated (Isend).
-	isend bool
-	// lanes are the wire-board values the call's send carries
-	// (SendValue, SendValues), put when the send is initiated.
-	lanes []float64
-	// stepBuf backs StepBuffer and the one-step calls.
-	stepBuf []Step
-
-	// reqs are the requests a Wait or WaitAll call completes, in order,
-	// from a buffer the rank reuses; i is the cursor.
-	reqs []*Request
-	i    int
-
-	// The agreement joined by the call (pcAgree*): the vote and the
-	// metric and wait reason of its kind.
-	agree   *agreeState
-	bad     bool
-	reason  string
-	counter string
 
 	// The future wait in progress: the future, the peer (-1 for none),
 	// the watched communicator id (-1 for none), whether it is armed
-	// (failure-aware), when it began (obs), and its outcome.
-	wf     *simtime.Future
-	wwhy   string
-	wpeer  int
-	wcomm  int
-	warmed bool
-	wstart simtime.Time
-	werr   error
-	// parkedOn is the future an armed wait is parked on (nil when
-	// none), and parkSeq when it began: the failure paths release
-	// parked ranks in that order (see releaseWaits).
-	parkedOn *simtime.Future
-	parkSeq  uint64
+	// (failure-aware) and parked on wf, when it began (obs), and its
+	// outcome. The failure paths release armed parked waits in parkSeq
+	// order (see releaseWaits).
+	wf             *simtime.Future
+	wwhy           string
+	wpeer, wcomm   int
+	warmed, parked bool
+	parkSeq        uint64
+	wstart         simtime.Time
+	werr           error
 }
 
 // Call positions.
@@ -128,25 +138,26 @@ type Step struct {
 	RecvTag   int
 }
 
-// StepBuffer returns n steps from a buffer this rank reuses, for its
-// next ExchangeSteps call. The steps are valid until the rank's next
-// StepBuffer call or blocking message call.
+// StepBuffer returns n steps of scratch space to fill and pass to
+// ExchangeSteps. The space is the world's, reused by every rank: it is
+// valid until the rank next blocks, and ExchangeSteps copies the steps
+// into a buffer of the rank's own.
 func (r *Rank) StepBuffer(n int) []Step {
-	m := &r.prog
-	if cap(m.stepBuf) < n {
-		m.stepBuf = make([]Step, n)
+	a := &r.world.call
+	if cap(a.stepBuf) < n {
+		a.stepBuf = make([]Step, n)
 	}
-	return m.stepBuf[:n]
+	return a.stepBuf[:n]
 }
 
 // ExchangeSteps runs a sequence of exchange steps as one blocking call:
-// each step progresses exactly as Exchange does, and the rank parks at
-// most once for the whole sequence. Every step runs even after one
-// fails; the error is the first step's error (a step's send error wins
-// over its receive error), as with a loop of Exchange calls. Steps must
-// name valid communicator ranks.
+// each step progresses exactly as Exchange does, and the rank parks once
+// for the whole sequence. Every step runs even after one fails; the
+// error is the first failed step's error (a step's send error wins over
+// its receive error), as with a loop of Exchange calls. Steps must name
+// valid communicator ranks.
 func (c *Comm) ExchangeSteps(steps []Step) error {
-	return c.r.exchange(c, steps, true, true)
+	return c.r.exchange(c, steps, Step{}, true, true)
 }
 
 // Exchange runs the canonical progression of one schedule step that both
@@ -156,26 +167,19 @@ func (c *Comm) ExchangeSteps(steps []Step) error {
 // paths progress (and therefore time and trace) identically. Errors as in
 // SendRecv.
 func (c *Comm) Exchange(sendTo int, sendBytes int64, sendTag int, recvFrom int, recvBytes int64, recvTag int) error {
-	return c.r.exchange1(c, Step{sendTo, sendBytes, sendTag, recvFrom, recvBytes, recvTag}, true, true)
+	return c.r.exchange(c, nil, Step{sendTo, sendBytes, sendTag, recvFrom, recvBytes, recvTag}, true, true)
 }
 
-// exchange1 runs the one-step call s with the chosen halves.
-func (r *Rank) exchange1(c *Comm, s Step, send, recv bool) error {
-	steps := r.StepBuffer(1)
-	steps[0] = s
-	return r.exchange(c, steps, send, recv)
-}
-
-// exchange runs steps, each with the chosen halves, on the machine.
-// Every step's requests are reaped when the step completes.
-func (r *Rank) exchange(c *Comm, steps []Step, send, recv bool) error {
-	m := &r.prog
-	m.c, m.steps, m.k, m.hasSend, m.hasRecv, m.isend = c, steps, 0, send, recv, false
-	m.pc = pcStep
+// exchange runs steps — or, when steps is nil, the one step one — each
+// with the chosen halves. Every step's requests are reaped when the step
+// completes.
+func (r *Rank) exchange(c *Comm, steps []Step, one Step, send, recv bool) error {
+	a := r.call(pcStep)
+	a.c, a.steps, a.one, a.hasSend, a.hasRecv, a.isend = c, steps, one, send, recv, false
 	r.block()
+	m := r.prog
 	err := m.err
-	m.c, m.steps, m.sq, m.rq, m.err = nil, nil, nil, nil, nil
-	m.lanes = m.lanes[:0]
+	m.c, m.sq, m.rq, m.err = nil, nil, nil, nil
 	return err
 }
 
@@ -183,49 +187,86 @@ func (r *Rank) exchange(c *Comm, steps []Step, send, recv bool) error {
 // nil): the send's startup and injection, with the request handed to the
 // caller.
 func (r *Rank) isend(c *Comm, dst int, bytes int64, tag int) *Request {
-	m := &r.prog
-	steps := r.StepBuffer(1)
-	steps[0] = Step{SendTo: dst, SendBytes: bytes, SendTag: tag}
-	m.c, m.steps, m.k, m.hasSend, m.hasRecv, m.isend = c, steps, 0, true, false, true
-	m.pc = pcStep
+	a := r.call(pcStep)
+	a.c, a.steps, a.hasSend, a.hasRecv, a.isend = c, nil, true, false, true
+	a.one = Step{SendTo: dst, SendBytes: bytes, SendTag: tag}
 	r.block()
+	m := r.prog
 	q := m.sq
-	m.c, m.steps, m.sq = nil, nil, nil
+	m.c, m.sq = nil, nil
 	return q
 }
 
 // waitReqs completes reqs in order (Request.Wait, WaitAll).
 func (r *Rank) waitReqs(reqs ...*Request) {
-	m := &r.prog
-	m.reqs = append(m.reqs[:0], reqs...)
-	m.i, m.pc = 0, pcReqs
+	a := r.call(pcReqs)
+	a.reqs = append(a.reqs[:0], reqs...)
 	r.block()
-	clear(m.reqs)
 }
 
-// block runs the call set up on the machine from the rank's coroutine,
-// and parks the coroutine once if the call does not end before its first
-// wait. A kill unwinds the call from Park; a wait it interrupts at fmin
-// restores fmax on the way out, paying the transition as the unwinding
-// process.
+// call claims the world's call slot for a call starting at pc.
+func (r *Rank) call(pc uint8) *callArgs {
+	a := &r.world.call
+	a.owner, a.pc = r, pc
+	return a
+}
+
+// block parks the rank's coroutine once while the machine runs the call
+// in the call slot. A kill unwinds the call from Park; a wait it
+// interrupts at fmin restores fmax on the way out, paying the transition
+// as the unwinding process.
 func (r *Rank) block() {
-	m := &r.prog
-	if m.advance() {
-		return
-	}
-	defer m.unwind()
-	r.proc.Park(m)
+	defer r.unwind()
+	r.proc.Park((*rankCont)(r))
 }
 
-func (m *progress) unwind() {
-	if m.scaled {
+func (r *Rank) unwind() {
+	if m := r.prog; m != nil && m.scaled {
 		m.scaled = false
-		m.r.ScaleUp()
+		r.ScaleUp()
 	}
 }
 
-// Continue runs the call's next step for a wakeup of the parked rank.
-func (m *progress) Continue(*simtime.Proc) bool { return m.advance() }
+// rankCont is the continuation a rank parks behind.
+type rankCont Rank
+
+// Continue runs the next step of the parked rank's call: first taking
+// the call from the world's slot, then at each wakeup.
+func (rc *rankCont) Continue(*simtime.Proc) bool {
+	r := (*Rank)(rc)
+	if a := &r.world.call; a.owner == r {
+		r.take(a)
+	}
+	return r.prog.advance()
+}
+
+// take moves the call in a into the rank's machine, allocating the
+// machine at the rank's first call.
+func (r *Rank) take(a *callArgs) {
+	m := r.prog
+	if m == nil {
+		m = &progress{r: r}
+		r.prog = m
+	}
+	m.pc, m.k, m.i = a.pc, 0, 0
+	switch a.pc {
+	case pcStep:
+		m.c, m.hasSend, m.hasRecv, m.isend = a.c, a.hasSend, a.hasRecv, a.isend
+		if a.steps != nil {
+			m.steps = append(m.steps[:0], a.steps...)
+		} else {
+			m.steps = append(m.steps[:0], a.one)
+		}
+		m.lanes = append(m.lanes[:0], a.lanes...)
+		a.lanes = a.lanes[:0]
+	case pcReqs:
+		m.reqs = append(m.reqs[:0], a.reqs...)
+		clear(a.reqs)
+	case pcAgree:
+		m.agree, m.bad, m.census = a.agree, a.bad, a.census
+	}
+	a.owner, a.c, a.steps, a.agree = nil, nil, nil, nil
+}
 
 // park schedules the call's next wakeup d from now and moves it to pc.
 func (m *progress) park(d simtime.Duration, pc uint8) bool {
@@ -315,6 +356,7 @@ func (m *progress) advance() bool {
 					return false
 				}
 			}
+			clear(m.reqs)
 			return true
 		case pcAgree:
 			m.pc = pcAgreeJoin
@@ -328,12 +370,24 @@ func (m *progress) advance() bool {
 				st.bad = true
 			}
 			if b := w.obs; b != nil {
-				b.Add(m.counter, 1)
+				ctr := obs.CtrFaultAgreements
+				if m.census {
+					ctr = obs.CtrFaultSuspectCensuses
+				}
+				b.Add(ctr, 1)
 			}
 			w.maybeResolveAgreement(st)
 			m.pc = pcAgreeWait
 		case pcAgreeWait:
-			return m.wait(m.agree.done, m.reason, -1, nil)
+			reason := "ulfm agree"
+			if m.census {
+				reason = "suspect census"
+			}
+			if !m.wait(m.agree.done, reason, -1, nil) {
+				return false
+			}
+			m.agree = nil
+			return true
 		}
 	}
 }
@@ -584,9 +638,10 @@ func (m *progress) wait(f *simtime.Future, reason string, peer int, c *Comm) boo
 			return true
 		}
 		known := m.warmed && (w.ft.dead[peer] || w.ft.revoked[comm])
-		if m.warmed && !known {
+		m.parked = m.warmed && !known
+		if m.parked {
 			w.ft.parkSeq++
-			m.parkedOn, m.parkSeq = f, w.ft.parkSeq
+			m.parkSeq = w.ft.parkSeq
 		}
 		if b := w.obs; b != nil {
 			m.wstart = b.Now()
@@ -639,7 +694,7 @@ func (m *progress) wait(f *simtime.Future, reason string, peer int, c *Comm) boo
 	if !m.warmed {
 		return true
 	}
-	m.parkedOn = nil
+	m.parked = false
 	// A completed operation is a success even if a failure was reported
 	// at the same instant, and revocation outranks a peer's death.
 	switch {

@@ -41,12 +41,13 @@ type Rank struct {
 	// state, and RecoverPower re-issues it.
 	wantFreq float64
 	wantT    power.TState
-	// prog runs the rank's blocking message calls (see progress.go).
-	prog progress
+	// prog runs the rank's blocking message calls (see progress.go); it
+	// is allocated at the first one.
+	prog *progress
 }
 
 func newRank(w *World, id int, core *power.Core) *Rank {
-	r := &Rank{
+	return &Rank{
 		world:    w,
 		id:       id,
 		core:     core,
@@ -54,8 +55,6 @@ func newRank(w *World, id int, core *power.Core) *Rank {
 		wantFreq: core.FreqGHz(),
 		wantT:    core.Throttle(),
 	}
-	r.prog.r = r
-	return r
 }
 
 // ID returns the global rank number.

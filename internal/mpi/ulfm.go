@@ -170,19 +170,16 @@ func (c *Comm) agree(bad, census bool) *agreeState {
 		w.ft.agree[key] = st
 		w.ft.agreeOrder = append(w.ft.agreeOrder, key)
 	}
-	m := &r.prog
-	m.agree, m.bad, m.reason, m.counter = st, bad, "ulfm agree", obs.CtrFaultAgreements
 	if census {
 		// Set before the join latency: a crash meanwhile may resolve
 		// the instance, and the census must still be taken.
 		st.wantSuspects = w.sb != nil
-		m.reason, m.counter = "suspect census", obs.CtrFaultSuspectCensuses
 	}
 	// Joining costs one control-message initiation; then the member
 	// votes and waits for the resolution.
-	m.pc = pcAgree
+	a := r.call(pcAgree)
+	a.agree, a.bad, a.census = st, bad, census
 	r.block()
-	m.agree = nil
 	return st
 }
 

@@ -58,6 +58,9 @@ type World struct {
 	// communicator shape). Rank bodies run one at a time in event
 	// context, so a plain map suffices.
 	stash map[string]any
+	// call carries each blocking call from a rank's coroutine to its
+	// progress machine (see progress.go).
+	call callArgs
 	// worldGroup is the identity group [0..NProcs) shared by every
 	// rank's CommWorld handle (immutable once built; see CommWorld).
 	worldGroup []int

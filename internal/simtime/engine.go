@@ -60,6 +60,8 @@ type Engine struct {
 	// freeFuts is the Future recycle list (see GetFuture/PutFuture).
 	freeFuts []*Future
 	procs    []*Proc
+	// switches counts the switches into process coroutines (Switches).
+	switches uint64
 	running  bool
 	stopped  bool
 	// panicErr records the first process panic; Run returns it.
@@ -94,6 +96,11 @@ func NewEngine() *Engine {
 
 // Now reports the current virtual time.
 func (e *Engine) Now() Time { return e.now }
+
+// Switches reports how many times the engine has switched into a
+// process's coroutine: each first run, and each resume from a park. A
+// wakeup that a continuation handles in event context is not a switch.
+func (e *Engine) Switches() uint64 { return e.switches }
 
 // schedule enqueues ev at instant t, preserving global (time, scheduling
 // order) execution order.

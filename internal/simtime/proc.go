@@ -111,21 +111,23 @@ func (p *Proc) Kill() {
 }
 
 // Continuation carries a parked process's blocking call forward in event
-// context, so that a call made of several waits switches into the
-// process's coroutine once, when it returns, instead of once per wait.
+// context, so that a call made of several waits switches out of and back
+// into the process's coroutine once, instead of once per wait.
 type Continuation interface {
-	// Continue runs in the queue slot of a wakeup dispatched for p. It
-	// either re-parks p — WakeAfter, or Future.Enlist — and returns
+	// Continue runs in event context: first in the queue slot where the
+	// process parked, then in the slot of each wakeup dispatched for p.
+	// It either re-parks p — WakeAfter, or Future.Enlist — and returns
 	// false, or returns true when the blocking call is over: the engine
 	// then switches into p's coroutine in the same slot, and Park
 	// returns.
 	Continue(p *Proc) bool
 }
 
-// Park parks the process behind c until c reports its blocking call
-// over. The caller must already have re-parked the process (WakeAfter or
-// Future.Enlist), exactly as a continuation step does. A killed process
-// unwinds from Park with a Killed panic; c is not run again.
+// Park hands the process's blocking call to c and parks until c reports
+// it over. c's first step runs as soon as the process has switched out,
+// in the same queue slot, so the call's work runs on the engine's stack,
+// not the coroutine's. A killed process unwinds from Park with a Killed
+// panic; c is not run again.
 func (p *Proc) Park(c Continuation) {
 	p.cont = c
 	p.yield()
@@ -141,12 +143,13 @@ func (e *Engine) dispatch(p *Proc) {
 }
 
 // runProc transfers control to p and returns when p parks again (or
-// terminates). Must only be called from event context.
+// terminates). A process that parks behind a continuation has the
+// continuation's first step run here, and is switched straight back into
+// if that step ends the call. Must only be called from event context.
 func (e *Engine) runProc(p *Proc) {
 	if p.done {
 		return
 	}
-	p.cont = nil
 	if p.resume == nil {
 		if p.killed {
 			// Condemned before its first run: retire without
@@ -158,7 +161,14 @@ func (e *Engine) runProc(p *Proc) {
 		// returning or unwinding out of its body.
 		p.resume, _ = iter.Pull(p.run)
 	}
-	p.resume()
+	for {
+		p.cont = nil
+		e.switches++
+		p.resume()
+		if c := p.cont; c == nil || p.killed || !c.Continue(p) {
+			return
+		}
+	}
 }
 
 // yield parks the process and hands control back to the engine; it returns
