@@ -1,6 +1,8 @@
 package collective
 
 import (
+	"math/bits"
+
 	"pacc/internal/mpi"
 	"pacc/internal/obs"
 )
@@ -23,22 +25,20 @@ func Barrier(c *mpi.Comm) {
 			}
 		}()
 	}
-	me := c.Rank()
-	block := c.TagBlock()
-	rounds := 0
-	for dist := 1; dist < p; dist <<= 1 {
-		rounds++
-	}
 	// The rounds run as one exchange sequence, so the rank parks once
 	// for the whole barrier; each round posts the receive, starts the
 	// send and completes both, then recycles the two requests.
-	steps := r.StepBuffer(rounds)
-	for round, dist := 0, 1; dist < p; round, dist = round+1, dist<<1 {
-		tag := block + round
-		steps[round] = mpi.Step{
-			SendTo: (me + dist) % p, SendTag: tag,
-			RecvFrom: (me - dist + p) % p, RecvTag: tag,
-		}
-	}
-	c.ExchangeSteps(steps)
+	c.ExchangeSteps(c.TagBlock(), disseminationRounds[:bits.Len(uint(p-1))])
 }
+
+// disseminationRounds are the barrier's rounds relative to the calling
+// rank, shared read-only by every rank and every call: round k signals
+// the rank 2^k places ahead and waits for the one 2^k places behind,
+// with tag k of the call's block.
+var disseminationRounds = func() []mpi.Step {
+	steps := make([]mpi.Step, bits.UintSize-1)
+	for k := range steps {
+		steps[k] = mpi.Step{SendTo: 1 << k, SendTag: k, RecvFrom: -(1 << k), RecvTag: k}
+	}
+	return steps
+}()

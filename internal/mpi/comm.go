@@ -198,12 +198,12 @@ func (c *Comm) Irecv(src int, bytes int64, tag int) *Request {
 // completed send; a dead peer or revoked communicator surfaces as a
 // failure error (IsFailure).
 func (c *Comm) Send(dst int, bytes int64, tag int) error {
-	return c.r.exchange(c, nil, Step{SendTo: dst, SendBytes: bytes, SendTag: tag}, true, false)
+	return c.r.exchange1(c, Step{SendTo: dst, SendBytes: bytes, SendTag: tag}, true, false)
 }
 
 // Recv is a blocking receive from a communicator rank (errors as in Send).
 func (c *Comm) Recv(src int, bytes int64, tag int) error {
-	return c.r.exchange(c, nil, Step{RecvFrom: src, RecvBytes: bytes, RecvTag: tag}, false, true)
+	return c.r.exchange1(c, Step{RecvFrom: src, RecvBytes: bytes, RecvTag: tag}, false, true)
 }
 
 // SendRecv exchanges with communicator ranks dst and src (errors as in

@@ -10,10 +10,11 @@ import (
 
 // This file implements crash-stop rank failure: the world-side state that
 // records who died, the failure detector that reports a death after
-// the detection timeout, and awaitFT — the failure-aware wait every
-// blocking message operation goes through. An armed wait records its
-// operation, peer and communicator on the rank and parks on the
-// operation's future; detection and revocation take the ranks parked on
+// the detection timeout, and releaseWaits, the failure side of the
+// failure-aware wait every blocking message operation goes through (a
+// step of the rank's progress machine, progress.go). An armed wait
+// records its operation, peer and communicator on the machine and parks
+// on the operation's future; detection and revocation take the ranks parked on
 // a dead peer or a revoked communicator off their futures and wake them.
 // The companion ulfm.go builds the recovery API (revoke, agree, shrink)
 // on top.

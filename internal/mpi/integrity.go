@@ -72,7 +72,7 @@ func (w *World) tstateDepth(rank int) int {
 func (r *Rank) SendValues(dst int, bytes int64, tag int, vs ...float64) error {
 	a := &r.world.call
 	a.lanes = append(a.lanes[:0], vs...)
-	return r.exchange(nil, nil, Step{SendTo: dst, SendBytes: bytes, SendTag: tag}, true, false)
+	return r.exchange1(nil, Step{SendTo: dst, SendBytes: bytes, SendTag: tag}, true, false)
 }
 
 // RecvValues is Recv returning the n lanes the matching SendValues

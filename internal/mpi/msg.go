@@ -108,7 +108,7 @@ func (w *World) deliver(dst int, m *inMsg) {
 	if w.isDead(dst) {
 		// Crash-stop: the dead rank's HCA is gone; the message vanishes
 		// instead of matching. Senders blocked on the outcome detect the
-		// failure through awaitFT.
+		// failure through the failure-aware wait.
 		if b := w.obs; b != nil {
 			b.Add(obs.CtrFaultMsgsToDead, 1)
 		}
@@ -156,7 +156,7 @@ func (w *World) wireBytes(bytes int64) int64 {
 }
 
 // hostCost is the CPU-side per-byte handling time for inter-node payloads
-// at full speed; busySleep scales it by the current core slowdown.
+// at full speed; copyDelay scales it by the current core slowdown.
 func (w *World) hostCost(bytes int64) simtime.Duration {
 	return simtime.DurationOf(float64(bytes) / w.cfg.HostBytesPerSec)
 }
@@ -414,16 +414,16 @@ func (r *Rank) irecv(c *Comm, src int, bytes int64, tag int) *Request {
 // Send is a blocking send: Isend followed by Wait. The error reports
 // invalid arguments; a well-formed send always returns nil.
 func (r *Rank) Send(dst int, bytes int64, tag int) error {
-	return r.exchange(nil, nil, Step{SendTo: dst, SendBytes: bytes, SendTag: tag}, true, false)
+	return r.exchange1(nil, Step{SendTo: dst, SendBytes: bytes, SendTag: tag}, true, false)
 }
 
 // Recv is a blocking receive: Irecv followed by Wait.
 func (r *Rank) Recv(src int, bytes int64, tag int) error {
-	return r.exchange(nil, nil, Step{RecvFrom: src, RecvBytes: bytes, RecvTag: tag}, false, true)
+	return r.exchange1(nil, Step{RecvFrom: src, RecvBytes: bytes, RecvTag: tag}, false, true)
 }
 
 // SendRecv exchanges messages with possibly different peers, completing
 // both operations before returning (the workhorse of pairwise exchange).
 func (r *Rank) SendRecv(dst int, sendBytes int64, src int, recvBytes int64, tag int) error {
-	return r.exchange(nil, nil, Step{dst, sendBytes, tag, src, recvBytes, tag}, true, true)
+	return r.exchange1(nil, Step{dst, sendBytes, tag, src, recvBytes, tag}, true, true)
 }

@@ -39,11 +39,13 @@ type callArgs struct {
 	pc uint8
 	// The exchange steps (pcStep): the communicator (nil for global
 	// ranks), the halves every step has, whether the call ends once its
-	// one send is initiated (Isend), the steps (nil for a one-step call,
-	// whose step is one), and the wire-board lanes the send carries.
+	// one send is initiated (Isend), the shared relative steps and their
+	// tag base (ExchangeSteps; nil for a one-step call, whose step is
+	// one), and the wire-board lanes the send carries.
 	c                       *Comm
 	hasSend, hasRecv, isend bool
 	steps                   []Step
+	base                    int
 	one                     Step
 	lanes                   []float64
 	// reqs are the requests a Wait or WaitAll completes (pcReqs).
@@ -52,8 +54,6 @@ type callArgs struct {
 	// whether it is a suspect census.
 	agree       *agreeState
 	bad, census bool
-	// stepBuf backs StepBuffer.
-	stepBuf []Step
 }
 
 // progress is a rank's progress machine. Its fields describe the call in
@@ -68,12 +68,11 @@ type progress struct {
 	hasSend, hasRecv, isend, bad, census bool
 	c                                    *Comm
 	steps                                []Step
+	base                                 int
+	one                                  Step
 	lanes                                []float64
 	reqs                                 []*Request
 	agree                                *agreeState
-	// scaled marks a request wait running at fmin under PowerAwareP2P:
-	// fmax must be restored when it ends, or when a kill unwinds it.
-	scaled bool
 	// k and i are the step and request cursors; sq and rq the current
 	// step's requests; err the first step error.
 	k, i   int
@@ -89,9 +88,12 @@ type progress struct {
 	wwhy           string
 	wpeer, wcomm   int
 	warmed, parked bool
-	parkSeq        uint64
-	wstart         simtime.Time
-	werr           error
+	// scaled marks a request wait running at fmin under PowerAwareP2P:
+	// fmax must be restored when it ends, or when a kill unwinds it.
+	scaled  bool
+	parkSeq uint64
+	wstart  simtime.Time
+	werr    error
 }
 
 // Call positions.
@@ -126,9 +128,9 @@ const (
 	wsIntr         // blocking mode: the interrupt and reschedule latency
 )
 
-// Step is one step of an exchange sequence (Comm.ExchangeSteps): post the
-// receive from RecvFrom, start the send to SendTo, then complete the send
-// before the receive. Ranks are communicator ranks.
+// Step is one exchange step: post the receive from RecvFrom, start the
+// send to SendTo, then complete the send before the receive. In
+// Comm.ExchangeSteps the ranks and tags are relative (see there).
 type Step struct {
 	SendTo    int
 	SendBytes int64
@@ -138,26 +140,23 @@ type Step struct {
 	RecvTag   int
 }
 
-// StepBuffer returns n steps of scratch space to fill and pass to
-// ExchangeSteps. The space is the world's, reused by every rank: it is
-// valid until the rank next blocks, and ExchangeSteps copies the steps
-// into a buffer of the rank's own.
-func (r *Rank) StepBuffer(n int) []Step {
-	a := &r.world.call
-	if cap(a.stepBuf) < n {
-		a.stepBuf = make([]Step, n)
-	}
-	return a.stepBuf[:n]
-}
-
 // ExchangeSteps runs a sequence of exchange steps as one blocking call:
 // each step progresses exactly as Exchange does, and the rank parks once
-// for the whole sequence. Every step runs even after one fails; the
+// for the whole sequence. A step names its peers and tags relative to
+// the calling rank: it sends to the rank SendTo places after this one
+// and receives from the rank RecvFrom places after it (either may be
+// negative; both are taken modulo the communicator size), with tags
+// base+SendTag and base+RecvTag. So shift schedules — dissemination,
+// rings, pairwise rounds — share one read-only list among all ranks,
+// and a call stores no copy of it: the list must not change until every
+// rank's call has returned. Every step runs even after one fails; the
 // error is the first failed step's error (a step's send error wins over
-// its receive error), as with a loop of Exchange calls. Steps must name
-// valid communicator ranks.
-func (c *Comm) ExchangeSteps(steps []Step) error {
-	return c.r.exchange(c, steps, Step{}, true, true)
+// its receive error), as with a loop of Exchange calls.
+func (c *Comm) ExchangeSteps(base int, steps []Step) error {
+	if len(steps) == 0 {
+		return nil
+	}
+	return c.r.exchange(c, steps, base, Step{}, true, true)
 }
 
 // Exchange runs the canonical progression of one schedule step that both
@@ -167,19 +166,25 @@ func (c *Comm) ExchangeSteps(steps []Step) error {
 // paths progress (and therefore time and trace) identically. Errors as in
 // SendRecv.
 func (c *Comm) Exchange(sendTo int, sendBytes int64, sendTag int, recvFrom int, recvBytes int64, recvTag int) error {
-	return c.r.exchange(c, nil, Step{sendTo, sendBytes, sendTag, recvFrom, recvBytes, recvTag}, true, true)
+	return c.r.exchange1(c, Step{sendTo, sendBytes, sendTag, recvFrom, recvBytes, recvTag}, true, true)
 }
 
-// exchange runs steps — or, when steps is nil, the one step one — each
-// with the chosen halves. Every step's requests are reaped when the step
-// completes.
-func (r *Rank) exchange(c *Comm, steps []Step, one Step, send, recv bool) error {
+// exchange1 runs the one step s, with absolute ranks and tags.
+func (r *Rank) exchange1(c *Comm, s Step, send, recv bool) error {
+	return r.exchange(c, nil, 0, s, send, recv)
+}
+
+// exchange runs the relative steps with tag base base (ExchangeSteps)
+// — or, when steps is nil, the one step one — each with the chosen
+// halves. Every step's requests are reaped when the step completes.
+func (r *Rank) exchange(c *Comm, steps []Step, base int, one Step, send, recv bool) error {
 	a := r.call(pcStep)
-	a.c, a.steps, a.one, a.hasSend, a.hasRecv, a.isend = c, steps, one, send, recv, false
+	a.c, a.steps, a.base, a.one = c, steps, base, one
+	a.hasSend, a.hasRecv, a.isend = send, recv, false
 	r.block()
 	m := r.prog
 	err := m.err
-	m.c, m.sq, m.rq, m.err = nil, nil, nil, nil
+	m.c, m.steps, m.sq, m.rq, m.err = nil, nil, nil, nil, nil
 	return err
 }
 
@@ -188,8 +193,8 @@ func (r *Rank) exchange(c *Comm, steps []Step, one Step, send, recv bool) error 
 // caller.
 func (r *Rank) isend(c *Comm, dst int, bytes int64, tag int) *Request {
 	a := r.call(pcStep)
-	a.c, a.steps, a.hasSend, a.hasRecv, a.isend = c, nil, true, false, true
-	a.one = Step{SendTo: dst, SendBytes: bytes, SendTag: tag}
+	a.c, a.steps, a.one = c, nil, Step{SendTo: dst, SendBytes: bytes, SendTag: tag}
+	a.hasSend, a.hasRecv, a.isend = true, false, true
 	r.block()
 	m := r.prog
 	q := m.sq
@@ -252,11 +257,7 @@ func (r *Rank) take(a *callArgs) {
 	switch a.pc {
 	case pcStep:
 		m.c, m.hasSend, m.hasRecv, m.isend = a.c, a.hasSend, a.hasRecv, a.isend
-		if a.steps != nil {
-			m.steps = append(m.steps[:0], a.steps...)
-		} else {
-			m.steps = append(m.steps[:0], a.one)
-		}
+		m.steps, m.base, m.one = a.steps, a.base, a.one
 		m.lanes = append(m.lanes[:0], a.lanes...)
 		a.lanes = a.lanes[:0]
 	case pcReqs:
@@ -266,6 +267,24 @@ func (r *Rank) take(a *callArgs) {
 		m.agree, m.bad, m.census = a.agree, a.bad, a.census
 	}
 	a.owner, a.c, a.steps, a.agree = nil, nil, nil, nil
+}
+
+// step returns the call's step k with absolute ranks and tags, or false
+// once every step has run.
+func (m *progress) step() (Step, bool) {
+	if m.steps == nil {
+		return m.one, m.k == 0
+	}
+	if m.k == len(m.steps) {
+		return Step{}, false
+	}
+	s := m.steps[m.k]
+	p, me := m.c.Size(), m.c.Rank()
+	s.SendTo = ((me+s.SendTo)%p + p) % p
+	s.RecvFrom = ((me+s.RecvFrom)%p + p) % p
+	s.SendTag += m.base
+	s.RecvTag += m.base
+	return s, true
 }
 
 // park schedules the call's next wakeup d from now and moves it to pc.
@@ -281,10 +300,10 @@ func (m *progress) advance() bool {
 	for {
 		switch m.pc {
 		case pcStep:
-			if m.k == len(m.steps) {
+			s, ok := m.step()
+			if !ok {
 				return true
 			}
-			s := &m.steps[m.k]
 			m.sq, m.rq = nil, nil
 			if m.hasRecv {
 				m.rq = r.irecv(m.c, s.RecvFrom, s.RecvBytes, s.RecvTag)

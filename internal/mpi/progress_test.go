@@ -103,3 +103,49 @@ func TestBlockingCallsParkOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestExchangeStepsMatchesExchangeLoop checks that one ExchangeSteps call
+// over a shared relative step list — negative offsets, offsets past the
+// communicator size, mixed protocols — progresses exactly as a loop of
+// Exchange calls over the same steps made absolute: same elapsed time,
+// same message counts and same energy.
+func TestExchangeStepsMatchesExchangeLoop(t *testing.T) {
+	steps := []Step{
+		{SendTo: 1, SendBytes: 1 << 10, SendTag: 0, RecvFrom: -1, RecvBytes: 1 << 10, RecvTag: 0},
+		{SendTo: 2, SendBytes: 64 << 10, SendTag: 1, RecvFrom: -2, RecvBytes: 64 << 10, RecvTag: 1},
+		{SendTo: -1, SendBytes: 0, SendTag: 2, RecvFrom: 1, RecvBytes: 0, RecvTag: 2},
+		{SendTo: 70, SendBytes: 100, SendTag: 3, RecvFrom: -70, RecvBytes: 100, RecvTag: 3},
+	}
+	run := func(seq bool) (simtime.Duration, MsgStats, float64) {
+		cfg := DefaultConfig()
+		w := mustWorld(t, cfg)
+		w.Launch(func(r *Rank) {
+			c := CommWorld(r)
+			r.Compute(simtime.Duration(r.ID()%3) * simtime.Microsecond)
+			base := c.TagBlock()
+			if seq {
+				if err := c.ExchangeSteps(base, steps); err != nil {
+					t.Error(err)
+				}
+				return
+			}
+			p, me := c.Size(), c.Rank()
+			for _, s := range steps {
+				to, from := ((me+s.SendTo)%p+p)%p, ((me+s.RecvFrom)%p+p)%p
+				if err := c.Exchange(to, s.SendBytes, base+s.SendTag, from, s.RecvBytes, base+s.RecvTag); err != nil {
+					t.Error(err)
+				}
+			}
+		})
+		el, err := w.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return el, w.Stats(), w.Station().EnergyJoules()
+	}
+	el1, st1, e1 := run(false)
+	el2, st2, e2 := run(true)
+	if el1 != el2 || st1 != st2 || e1 != e2 {
+		t.Fatalf("ExchangeSteps: %v %+v %v J; Exchange loop: %v %+v %v J", el2, st2, e2, el1, st1, e1)
+	}
+}

@@ -55,8 +55,8 @@ func (q *fifo[T]) removeAt(i int) {
 // queues), and a pendingRecv only by its receive request, whose wait
 // runs at most once (Request.Wait is idempotent) — so they are recycled
 // at the two points proven single-release: the successful end of a
-// receive wait (waitRecv, which also returns the eager payload and match
-// futures through Engine.PutFuture), and the dead-rank drop in deliver.
+// receive wait (progress.recv, which also returns the eager payload and
+// match futures through Engine.PutFuture), and the dead-rank drop in deliver.
 // Error paths deliberately leak to the GC: correctness over reuse. The
 // other per-message objects have their own release points: a rendezvous
 // sendState is recycled by releaseSend (msg.go) once both the sender's
