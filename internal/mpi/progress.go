@@ -28,69 +28,70 @@ import (
 // most one blocking call in flight, so the machine's state lives in its
 // Rank; it is allocated at the rank's first blocking call.
 
-// callArgs carries one blocking call from a rank's coroutine to its
-// machine. Ranks run one at a time and the machine takes the arguments
-// before any other rank runs, so a world needs one; its buffers are
-// reused, and the coroutine never allocates for a call.
+// callArgs are the arguments of one blocking call.
 type callArgs struct {
+	// pc is the call's position (pc* constants): it starts at pcStep,
+	// pcReqs or pcAgree.
+	pc uint8
+	// An exchange (pcStep) has the halves hasSend and hasRecv in every
+	// step, ends once its one send is initiated if isend (Isend), runs
+	// on c (nil for global ranks), and runs the shared relative steps
+	// with tag base base (ExchangeSteps) or, when steps is nil, the one
+	// step one. An agreement (pcAgree) joins agree with the vote bad,
+	// as a suspect census if census.
+	hasSend, hasRecv, isend, bad, census bool
+	c                                    *Comm
+	steps                                []Step
+	base                                 int
+	one                                  Step
+	agree                                *agreeState
+}
+
+// callSlot carries one blocking call from a rank's coroutine to its
+// machine. Ranks run one at a time and the machine takes the call
+// before any other rank runs, so a world needs one slot; its buffers
+// are reused, and the coroutine never allocates for a call.
+type callSlot struct {
 	// owner is the rank whose call the slot holds (nil once taken).
 	owner *Rank
-	// pc is the call's first position: pcStep, pcReqs or pcAgree.
-	pc uint8
-	// The exchange steps (pcStep): the communicator (nil for global
-	// ranks), the halves every step has, whether the call ends once its
-	// one send is initiated (Isend), the shared relative steps and their
-	// tag base (ExchangeSteps; nil for a one-step call, whose step is
-	// one), and the wire-board lanes the send carries.
-	c                       *Comm
-	hasSend, hasRecv, isend bool
-	steps                   []Step
-	base                    int
-	one                     Step
-	lanes                   []float64
-	// reqs are the requests a Wait or WaitAll completes (pcReqs).
-	reqs []*Request
-	// The agreement to join (pcAgree): the instance, the vote, and
-	// whether it is a suspect census.
-	agree       *agreeState
-	bad, census bool
+	callArgs
+	// lanes are the wire-board values the call's send carries
+	// (SendValues); reqs the requests a Wait or WaitAll completes.
+	lanes []float64
+	reqs  []*Request
 }
 
 // progress is a rank's progress machine. Its fields describe the call in
 // flight.
 type progress struct {
 	r *Rank
-	// pc is the call's position (pc* constants); rs the position of the
-	// request being completed (rs*); ws the position of the future wait
-	// in progress (ws*).
-	pc, rs, ws uint8
-	// The call's arguments (see callArgs).
-	hasSend, hasRecv, isend, bad, census bool
-	c                                    *Comm
-	steps                                []Step
-	base                                 int
-	one                                  Step
-	lanes                                []float64
-	reqs                                 []*Request
-	agree                                *agreeState
+	// The call's arguments, pc moving on as the call runs, and the
+	// machine's own copies of the slot's lanes and requests.
+	callArgs
+	lanes []float64
+	reqs  []*Request
 	// k and i are the step and request cursors; sq and rq the current
 	// step's requests; err the first step error.
 	k, i   int
 	sq, rq *Request
 	err    error
 
+	// rs is the position of the request being completed (rs*), ws the
+	// position of the future wait in progress (ws*).
+	rs, ws uint8
 	// The future wait in progress: the future, the peer (-1 for none),
 	// the watched communicator id (-1 for none), whether it is armed
 	// (failure-aware) and parked on wf, when it began (obs), and its
 	// outcome. The failure paths release armed parked waits in parkSeq
 	// order (see releaseWaits).
-	wf             *simtime.Future
-	wwhy           string
-	wpeer, wcomm   int
 	warmed, parked bool
 	// scaled marks a request wait running at fmin under PowerAwareP2P:
 	// fmax must be restored when it ends, or when a kill unwinds it.
 	scaled  bool
+	wf      *simtime.Future
+	wwhy    string
+	wpeer   int
+	wcomm   int
 	parkSeq uint64
 	wstart  simtime.Time
 	werr    error
@@ -179,8 +180,7 @@ func (r *Rank) exchange1(c *Comm, s Step, send, recv bool) error {
 // halves. Every step's requests are reaped when the step completes.
 func (r *Rank) exchange(c *Comm, steps []Step, base int, one Step, send, recv bool) error {
 	a := r.call(pcStep)
-	a.c, a.steps, a.base, a.one = c, steps, base, one
-	a.hasSend, a.hasRecv, a.isend = send, recv, false
+	a.c, a.steps, a.base, a.one, a.hasSend, a.hasRecv = c, steps, base, one, send, recv
 	r.block()
 	m := r.prog
 	err := m.err
@@ -193,8 +193,7 @@ func (r *Rank) exchange(c *Comm, steps []Step, base int, one Step, send, recv bo
 // caller.
 func (r *Rank) isend(c *Comm, dst int, bytes int64, tag int) *Request {
 	a := r.call(pcStep)
-	a.c, a.steps, a.one = c, nil, Step{SendTo: dst, SendBytes: bytes, SendTag: tag}
-	a.hasSend, a.hasRecv, a.isend = true, false, true
+	a.c, a.one, a.hasSend, a.isend = c, Step{SendTo: dst, SendBytes: bytes, SendTag: tag}, true, true
 	r.block()
 	m := r.prog
 	q := m.sq
@@ -209,8 +208,9 @@ func (r *Rank) waitReqs(reqs ...*Request) {
 	r.block()
 }
 
-// call claims the world's call slot for a call starting at pc.
-func (r *Rank) call(pc uint8) *callArgs {
+// call claims the world's call slot, which the previous call's take left
+// cleared, for a call starting at pc.
+func (r *Rank) call(pc uint8) *callSlot {
 	a := &r.world.call
 	a.owner, a.pc = r, pc
 	return a
@@ -247,26 +247,17 @@ func (rc *rankCont) Continue(*simtime.Proc) bool {
 
 // take moves the call in a into the rank's machine, allocating the
 // machine at the rank's first call.
-func (r *Rank) take(a *callArgs) {
+func (r *Rank) take(a *callSlot) {
 	m := r.prog
 	if m == nil {
 		m = &progress{r: r}
 		r.prog = m
 	}
-	m.pc, m.k, m.i = a.pc, 0, 0
-	switch a.pc {
-	case pcStep:
-		m.c, m.hasSend, m.hasRecv, m.isend = a.c, a.hasSend, a.hasRecv, a.isend
-		m.steps, m.base, m.one = a.steps, a.base, a.one
-		m.lanes = append(m.lanes[:0], a.lanes...)
-		a.lanes = a.lanes[:0]
-	case pcReqs:
-		m.reqs = append(m.reqs[:0], a.reqs...)
-		clear(a.reqs)
-	case pcAgree:
-		m.agree, m.bad, m.census = a.agree, a.bad, a.census
-	}
-	a.owner, a.c, a.steps, a.agree = nil, nil, nil, nil
+	m.callArgs, m.k, m.i = a.callArgs, 0, 0
+	m.lanes = append(m.lanes[:0], a.lanes...)
+	m.reqs = append(m.reqs[:0], a.reqs...)
+	clear(a.reqs)
+	a.owner, a.callArgs, a.lanes, a.reqs = nil, callArgs{}, a.lanes[:0], a.reqs[:0]
 }
 
 // step returns the call's step k with absolute ranks and tags, or false

@@ -60,7 +60,7 @@ type World struct {
 	stash map[string]any
 	// call carries each blocking call from a rank's coroutine to its
 	// progress machine (see progress.go).
-	call callArgs
+	call callSlot
 	// worldGroup is the identity group [0..NProcs) shared by every
 	// rank's CommWorld handle (immutable once built; see CommWorld).
 	worldGroup []int
