@@ -25,8 +25,8 @@ import (
 // of those waits, so simulated behaviour is unchanged; only the host
 // cost of the switches goes. The call's work runs on the engine's stack,
 // so a parked coroutine's stack stays at its minimum size. A rank has at
-// most one blocking call in flight, so the machine's state lives in its
-// Rank; it is allocated at the rank's first blocking call.
+// most one blocking call in flight, so it needs one machine; the world
+// allocates all of them in one slab at its first blocking call.
 
 // callArgs are the arguments of one blocking call.
 type callArgs struct {
@@ -245,13 +245,17 @@ func (rc *rankCont) Continue(*simtime.Proc) bool {
 	return r.prog.advance()
 }
 
-// take moves the call in a into the rank's machine, allocating the
-// machine at the rank's first call.
+// take moves the call in a into the rank's machine. The world's first
+// call allocates every rank's machine in one slab.
 func (r *Rank) take(a *callSlot) {
 	m := r.prog
 	if m == nil {
-		m = &progress{r: r}
-		r.prog = m
+		w := r.world
+		if w.progs == nil {
+			w.progs = make([]progress, len(w.ranks))
+		}
+		m = &w.progs[r.id]
+		m.r, r.prog = r, m
 	}
 	m.callArgs, m.k, m.i = a.callArgs, 0, 0
 	m.lanes = append(m.lanes[:0], a.lanes...)

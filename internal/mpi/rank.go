@@ -42,7 +42,7 @@ type Rank struct {
 	wantFreq float64
 	wantT    power.TState
 	// prog runs the rank's blocking message calls (see progress.go); it
-	// is allocated at the first one.
+	// is set at the first one.
 	prog *progress
 }
 

@@ -59,8 +59,10 @@ type World struct {
 	// context, so a plain map suffices.
 	stash map[string]any
 	// call carries each blocking call from a rank's coroutine to its
-	// progress machine (see progress.go).
-	call callSlot
+	// progress machine (see progress.go); progs holds every rank's
+	// machine, allocated at the world's first blocking call.
+	call  callSlot
+	progs []progress
 	// worldGroup is the identity group [0..NProcs) shared by every
 	// rank's CommWorld handle (immutable once built; see CommWorld).
 	worldGroup []int
