@@ -225,6 +225,7 @@ func (r *Rank) block() {
 	r.proc.Park((*rankCont)(r))
 }
 
+// unwind restores fmax when a kill interrupts a wait running at fmin.
 func (r *Rank) unwind() {
 	if m := r.prog; m != nil && m.scaled {
 		m.scaled = false
